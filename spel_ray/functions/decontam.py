@@ -16,7 +16,8 @@ reference ``src/spel/data_loader.py`` candidate-set loaders):
   side is assumed benchmark-sized (MBs — eval sets are small by
   construction); the training side streams at any scale. If the
   "benchmark" ever approaches corpus scale, a bucketed semi-join on the
-  hash (``state.shuffle.bucketed_groupby``) is the fallback shape.
+  hash (``state.shuffle.bucketed_join(how="semi")``) is the fallback
+  shape — not wired today.
 - **training side** — per batch, tokens are hashed once with pandas'
   C-level ``hash_array`` (SipHash, fixed key ⇒ cross-process stable) and
   every window of ``n`` token hashes is folded into a 64-bit polynomial

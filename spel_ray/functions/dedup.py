@@ -28,6 +28,7 @@ import ray
 import ray.data
 
 from spel_ray.config import LinkageConfig
+from spel_ray.functions.similarity import embeddings
 from spel_ray.state.shuffle import bucketed_groupby
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -332,8 +333,9 @@ def embedding_neardup_pairs(ds: ray.data.Dataset, *, threshold: float = 0.95,
                              "_emb": pa.array([], pa.binary()),
                              "_bk": pa.array([], pa.int64())})
         ids = np.asarray(batch[id_col], dtype=np.int64)
-        emb = np.vstack(batch[emb_col].to_pylist()).astype(np.float64)
-        emb /= np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-12)
+        emb = embeddings(batch[emb_col])
+        emb = emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True),
+                               1e-12)
         d = emb.shape[1]
         signs = np.einsum("nd,tpd->ntp", emb, planes_for(d)) > 0  # (n, T, P)
         vals = (signs * pows[None, None, :]).sum(axis=2)          # (n, T)

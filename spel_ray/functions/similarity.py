@@ -4,28 +4,103 @@
   normalized once, ``ray.put`` once, and every batch does one numpy matmul
   (zero-copy Arrow → numpy). This is the correctness baseline and the oracle
   for the LSH path.
-- **ann_topk_lsh** — the scale path: random-hyperplane LSH (Charikar 2002)
-  buckets both the corpus and the queries; only colliding buckets are scored.
-  Recall is tunable by (n_planes, n_tables); the partitioning assumption is
-  that each (table, bucket) group fits a task — guaranteed by the hash being
-  data-independent.
+- **ann_topk_ivf** / **ann_topk_lsh** — the scale paths: each batch scores
+  only the (query, vector) pairs its coarse quantizer / random-hyperplane
+  LSH (Charikar 2002) buckets bring together. Recall is tunable by
+  (nprobe) / (n_planes, n_tables); the partitioning assumption is that
+  bucket membership is data-independent once the index is fixed.
+
+All three share one tail (``_collect_topk``): every batch is cut to each
+query's top-k under ``(-cosine, vec_id)`` before anything leaves the task,
+so the driver collects at most batches × queries × k rows, and the same
+kernel merges those partials into the final ranking.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Callable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
-from spel_ray.state.shuffle import bucketed_groupby
+_PARTIAL = pa.schema([("qi", pa.int64()), ("vec_id", pa.int64()),
+                      ("cosine", pa.float64())])
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
+
+
+def embeddings(col) -> np.ndarray:
+    """(n, dim) float64 matrix of a list<float> / fixed_size_list column:
+    one flatten + reshape over the values buffer (no per-row Python).
+    Raises ValueError on null or ragged rows."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n = len(col)
+    lens = pc.list_value_length(col)
+    mm = pc.min_max(lens).as_py()
+    if lens.null_count or (n and mm["min"] != mm["max"]):
+        raise ValueError("embedding rows must be non-null and of one length")
+    flat = np.asarray(col.flatten()).astype(np.float64, copy=False)
+    return flat.reshape(n, mm["max"] or 0)
+
+
+def _topk(qi: np.ndarray, vec_id: np.ndarray, cosine: np.ndarray, k: int
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each query's ``k`` best distinct vec_ids under (-cosine, vec_id) —
+    THE ranking rule, used both per batch and for the final merge (top-k of
+    per-batch top-ks is the top-k). Returns (qi, vec_id, cosine, rank)."""
+    def run_starts(*keys: np.ndarray) -> np.ndarray:
+        start = np.zeros(len(keys[0]), dtype=bool)
+        start[:1] = True
+        for a in keys:
+            start[1:] |= a[1:] != a[:-1]
+        return start
+
+    o = np.lexsort((-cosine, vec_id, qi))        # a vec_id's best row first
+    qi, vec_id, cosine = qi[o], vec_id[o], cosine[o]
+    first = run_starts(qi, vec_id)
+    qi, vec_id, cosine = qi[first], vec_id[first], cosine[first]
+    o = np.lexsort((vec_id, -cosine, qi))
+    qi, vec_id, cosine = qi[o], vec_id[o], cosine[o]
+    pos = np.arange(len(qi))
+    rank = pos - np.maximum.accumulate(np.where(run_starts(qi), pos, 0))
+    keep = rank < k
+    return qi[keep], vec_id[keep], cosine[keep], rank[keep] + 1
+
+
+def _collect_topk(ds: ray.data.Dataset, score: Callable, query_ids,
+                  k: int, batch_size: int) -> pd.DataFrame:
+    """Run ``score(batch) -> (qi, vec_id, cosine)`` per batch, cut each
+    batch to per-query top-k in the task, collect the partials and merge.
+    Returns (query_id, vec_id, cosine, rank), typed even when empty."""
+    def partial(batch: pa.Table) -> pa.Table:
+        qi, vid, cos, _ = _topk(*score(batch), k)
+        return pa.table([qi, vid, cos], schema=_PARTIAL)
+
+    parts = ds.map_batches(partial, batch_format="pyarrow",
+                           batch_size=batch_size)
+    return _merge_topk(pa.concat_tables(
+        [_PARTIAL.empty_table(),
+         *parts.iter_batches(batch_size=None, batch_format="pyarrow")]),
+        query_ids, k)
+
+
+def _merge_topk(parts: pa.Table, query_ids, k: int) -> pd.DataFrame:
+    qi, vid, cos, rank = _topk(np.asarray(parts["qi"]),
+                               np.asarray(parts["vec_id"]),
+                               np.asarray(parts["cosine"]), k)
+    return pd.DataFrame({
+        "query_id": np.asarray(query_ids, dtype=np.int64)[qi],
+        "vec_id": vid,
+        "cosine": np.array([round(c, 5) for c in cos.tolist()], np.float64),
+        "rank": rank.astype(np.int64),
+    }).sort_values(["query_id", "rank"]).reset_index(drop=True)
 
 
 def ann_topk_bruteforce(ds: ray.data.Dataset, queries: np.ndarray,
@@ -34,43 +109,20 @@ def ann_topk_bruteforce(ds: ray.data.Dataset, queries: np.ndarray,
                         batch_size: int = 4096) -> pd.DataFrame:
     """Exact cosine top-k per query. Returns (query_id, vec_id, cosine, rank).
 
-    Per-batch partial top-k (vectorized argpartition) → driver-side heap
-    merge over the tiny partials (two-stage top-k, ≙ reference
-    ``model.py:126-158``)."""
-    qm = _normalize(np.asarray(queries, dtype=np.float64))
-    q_ref = ray.put(qm)
+    Per-batch partial top-k → driver-side merge over the tiny partials
+    (two-stage top-k, ≙ reference ``model.py:126-158``)."""
+    q_ref = ray.put(_normalize(np.asarray(queries, dtype=np.float64)))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        q = ray.get(q_ref)
-        ids = np.asarray(batch[id_col])
-        emb = np.vstack(batch[emb_col].to_pylist()).astype(np.float64)
-        emb = _normalize(emb)
-        sims = q @ emb.T                                    # (Q, b)
+    def score(batch: pa.Table):
+        sims = ray.get(q_ref) @ _normalize(embeddings(batch[emb_col])).T
+        # O(Q·b) pre-cut that keeps ties at the k-th value, so the exact
+        # (-cosine, vec_id) cut still sees every candidate it could keep
         kk = min(k, sims.shape[1])
-        part = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]   # (Q, kk)
-        qi = np.repeat(np.arange(sims.shape[0], dtype=np.int64), kk)
-        cols = part.reshape(-1)
-        return pa.table({
-            "qi": pa.array(qi, pa.int64()),
-            "vec_id": pa.array(ids[cols].astype(np.int64), pa.int64()),
-            "cosine": pa.array(sims[qi, cols], pa.float64()),
-        })
+        kth = -np.partition(-sims, kk - 1, axis=1)[:, kk - 1:kk]
+        qi, col = np.nonzero(sims >= kth)
+        return qi, np.asarray(batch[id_col], np.int64)[col], sims[qi, col]
 
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=batch_size).to_pandas()
-    if parts.empty:   # empty corpus: no candidates for any query
-        return pd.DataFrame({"query_id": pd.Series(dtype="int64"),
-                             "vec_id": pd.Series(dtype="int64"),
-                             "cosine": pd.Series(dtype="float64"),
-                             "rank": pd.Series(dtype="int64")})
-    out = []
-    for qi, g in parts.groupby("qi"):
-        top = heapq.nsmallest(k, g.itertuples(index=False),
-                              key=lambda r: (-r.cosine, r.vec_id))
-        for rank, r in enumerate(top, start=1):
-            out.append((int(query_ids[qi]), r.vec_id, round(r.cosine, 5), rank))
-    return pd.DataFrame(out, columns=["query_id", "vec_id", "cosine", "rank"]) \
-             .sort_values(["query_id", "rank"]).reset_index(drop=True)
+    return _collect_topk(ds, score, query_ids, k, batch_size)
 
 
 def ann_recall(approx: pd.DataFrame, exact: pd.DataFrame,
@@ -97,10 +149,9 @@ def train_ivf_centroids(ds: ray.data.Dataset, n_centroids: int = 16, *,
     """Coarse quantizer for IVF: k-means (Lloyd's, numpy) on a driver-side
     sample. At corpus scale the sample stays fixed-size — training cost is
     independent of dataset size; only assignment is distributed."""
-    sample = ds.limit(sample_n).to_pandas()
-    if len(sample) == 0:
-        raise ValueError("cannot train IVF centroids on an empty corpus")
-    x = _normalize(np.vstack(sample[emb_col].to_numpy()).astype(np.float64))
+    # raises ValueError("The dataset is empty.") on an empty corpus
+    sample = ds.take_batch(sample_n, batch_format="pyarrow")
+    x = _normalize(embeddings(sample[emb_col]))
     rng = np.random.default_rng(seed)
     cent = x[rng.choice(len(x), size=min(n_centroids, len(x)), replace=False)]
     for _ in range(iters):
@@ -135,45 +186,20 @@ def ann_topk_ivf(ds: ray.data.Dataset, queries: np.ndarray,
             probes.setdefault(int(c), []).append(qi)
     ref = ray.put((cent, probes, qm))
 
-    def score(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table):
         cent_, probes_, q = ray.get(ref)
-        ids = np.asarray(batch[id_col])
-        emb = _normalize(np.vstack(batch[emb_col].to_pylist()).astype(np.float64))
+        ids = np.asarray(batch[id_col], np.int64)
+        emb = _normalize(embeddings(batch[emb_col]))
         assign = np.argmax(emb @ cent_.T, axis=1)
-        qi_parts, id_parts, s_parts = [], [], []
+        out = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
         for c in np.unique(assign):
-            qis = probes_.get(int(c))
-            if not qis:
-                continue
+            qis = np.asarray(probes_.get(int(c), []), np.int64)
             rows = np.flatnonzero(assign == c)
-            sims = q[qis] @ emb[rows].T                  # (|qis|, |rows|)
-            qi_parts.append(np.repeat(np.asarray(qis, np.int64), len(rows)))
-            id_parts.append(np.tile(ids[rows].astype(np.int64), len(qis)))
-            s_parts.append(sims.reshape(-1))
-        if not qi_parts:
-            return pa.table({"qi": pa.array([], pa.int64()),
-                             "vec_id": pa.array([], pa.int64()),
-                             "cosine": pa.array([], pa.float64())})
-        return pa.table({
-            "qi": pa.array(np.concatenate(qi_parts), pa.int64()),
-            "vec_id": pa.array(np.concatenate(id_parts), pa.int64()),
-            "cosine": pa.array(np.concatenate(s_parts), pa.float64())})
+            out.append((np.repeat(qis, len(rows)), np.tile(ids[rows], len(qis)),
+                        (q[qis] @ emb[rows].T).reshape(-1)))  # (|qis|, |rows|)
+        return tuple(np.concatenate(a) for a in zip(*out))
 
-    parts = ds.map_batches(score, batch_format="pyarrow",
-                           batch_size=4096).to_pandas()
-    if parts.empty:   # empty corpus: no candidates for any query
-        return pd.DataFrame({"query_id": pd.Series(dtype="int64"),
-                             "vec_id": pd.Series(dtype="int64"),
-                             "cosine": pd.Series(dtype="float64"),
-                             "rank": pd.Series(dtype="int64")})
-    out = []
-    for qi, g in parts.groupby("qi"):
-        top = heapq.nsmallest(k, g.itertuples(index=False),
-                              key=lambda r: (-r.cosine, r.vec_id))
-        for rank, r in enumerate(top, start=1):
-            out.append((int(query_ids[qi]), r.vec_id, round(r.cosine, 5), rank))
-    return pd.DataFrame(out, columns=["query_id", "vec_id", "cosine", "rank"]) \
-             .sort_values(["query_id", "rank"]).reset_index(drop=True)
+    return _collect_topk(ds, score, query_ids, k, 4096)
 
 
 def ann_topk_lsh(ds: ray.data.Dataset, queries: np.ndarray,
@@ -207,10 +233,10 @@ def ann_topk_lsh(ds: ray.data.Dataset, queries: np.ndarray,
             q_map.setdefault(int(q_buckets[qi, t]), []).append(qi)
     q_ref = ray.put((q_map, qm))
 
-    def probe(batch: pa.Table) -> pa.Table:
+    def probe(batch: pa.Table):
         qmap, q = ray.get(q_ref)
-        ids = np.asarray(batch[id_col])
-        emb = _normalize(np.vstack(batch[emb_col].to_pylist()).astype(np.float64))
+        ids = np.asarray(batch[id_col], np.int64)
+        emb = _normalize(embeddings(batch[emb_col]))
         bks = bucket_of(emb)                                # (b, T)
         # vectorized probe: translate the batch's DISTINCT bucket keys once,
         # expand to (row, query) pairs with repeats, dedupe, then one gather
@@ -219,10 +245,6 @@ def ann_topk_lsh(ds: ray.data.Dataset, queries: np.ndarray,
         hits = [np.asarray(qmap.get(int(u), ()), dtype=np.int64)
                 for u in uniq]
         counts = np.array([len(h) for h in hits], dtype=np.int64)
-        if counts.sum() == 0:
-            return pa.table({"qi": pa.array([], pa.int64()),
-                             "vec_id": pa.array([], pa.int64()),
-                             "cosine": pa.array([], pa.float64())})
         rows_flat = np.repeat(np.arange(len(ids), dtype=np.int64), n_tables)
         per_cell = counts[inv]                              # hits per (row,t)
         row_rep = np.repeat(rows_flat, per_cell)
@@ -238,25 +260,6 @@ def ann_topk_lsh(ds: ray.data.Dataset, queries: np.ndarray,
         key = row_rep * np.int64(1 << 32) + qi_rep
         _, first = np.unique(key, return_index=True)
         row_u, qi_u = row_rep[first], qi_rep[first]
-        sims = (q[qi_u] * emb[row_u]).sum(axis=1)
-        return pa.table({"qi": pa.array(qi_u, pa.int64()),
-                         "vec_id": pa.array(ids[row_u].astype(np.int64),
-                                            pa.int64()),
-                         "cosine": pa.array(sims, pa.float64())})
+        return qi_u, ids[row_u], (q[qi_u] * emb[row_u]).sum(axis=1)
 
-    parts = ds.map_batches(probe, batch_format="pyarrow",
-                           batch_size=4096).to_pandas()
-    if parts.empty:   # empty corpus: no candidates for any query
-        return pd.DataFrame({"query_id": pd.Series(dtype="int64"),
-                             "vec_id": pd.Series(dtype="int64"),
-                             "cosine": pd.Series(dtype="float64"),
-                             "rank": pd.Series(dtype="int64")})
-    out = []
-    for qi, g in parts.groupby("qi"):
-        g = g.drop_duplicates("vec_id")
-        top = heapq.nsmallest(k, g.itertuples(index=False),
-                              key=lambda r: (-r.cosine, r.vec_id))
-        for rank, r in enumerate(top, start=1):
-            out.append((int(query_ids[qi]), r.vec_id, round(r.cosine, 5), rank))
-    return pd.DataFrame(out, columns=["query_id", "vec_id", "cosine", "rank"]) \
-             .sort_values(["query_id", "rank"]).reset_index(drop=True)
+    return _collect_topk(ds, probe, query_ids, k, 4096)

@@ -26,6 +26,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from spel_ray.config import LinkageConfig
+from spel_ray.state.shuffle import bucketed_join
 
 
 def curate_documents(ds: ray.data.Dataset, *,
@@ -59,13 +60,15 @@ def curate_documents(ds: ray.data.Dataset, *,
             text_col="text", id_col="doc_id", num_buckets=num_buckets)
         # representatives: doc_id == cluster_id (min-id member). Kept via a
         # bucketed SEMI-JOIN (both sides shuffled by doc_id hash) — never a
-        # driver-side id-set broadcast, which would scale with corpus size
+        # driver-side id-set broadcast, which would scale with corpus size.
+        # The slim id table is pinned: the join reads its schema and rows.
         reps = clusters.map_batches(
             lambda t: pa.table({
                 "doc_id": t.filter(pc.equal(t["doc_id"],
                                             t["cluster_id"]))["doc_id"]}),
-            batch_format="pyarrow")
-        deduped = _semijoin_docs(deduped, reps, num_buckets=num_buckets)
+            batch_format="pyarrow").materialize()
+        deduped = bucketed_join(deduped, reps, "doc_id", "doc_id",
+                                how="semi", num_buckets=num_buckets)
 
     def split(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch["doc_id"], dtype=np.int64).view(np.uint64)
@@ -74,50 +77,6 @@ def curate_documents(ds: ray.data.Dataset, *,
         return batch.append_column("part", pa.array(part.tolist(), pa.string()))
 
     return deduped.map_batches(split, batch_format="pyarrow")
-
-
-def _semijoin_docs(docs: ray.data.Dataset, keep_ids: ray.data.Dataset, *,
-                   num_buckets: int) -> ray.data.Dataset:
-    """docs ⋉ keep_ids on doc_id — one bucketed shuffle, Arrow throughout
-    (left columns pass through untouched; the id side is a slim tag)."""
-    from spel_ray.state.shuffle import bucketed_groupby
-
-    sch = docs.schema()
-    cols = list(sch.names)
-
-    def _arrow_type(t):
-        if isinstance(t, pa.DataType):
-            return t
-        dt = np.dtype(t)          # pandas/numpy-backed blocks
-        if dt == np.dtype(object):
-            return pa.string()
-        return pa.from_numpy_dtype(dt)
-
-    types = {n: _arrow_type(t) for n, t in zip(sch.names, sch.types)}
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_side", pa.array(np.zeros(batch.num_rows, dtype=np.int8)))
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        out = {c: pa.nulls(batch.num_rows, types[c]) for c in cols}
-        out["doc_id"] = batch["doc_id"]
-        out["_side"] = pa.array(np.ones(batch.num_rows, dtype=np.int8))
-        return pa.table({**{c: out[c] for c in cols}, "_side": out["_side"]})
-
-    u = docs.map_batches(tag_left, batch_format="pyarrow").union(
-        keep_ids.map_batches(tag_right, batch_format="pyarrow"))
-
-    def resolve(t: pa.Table) -> pa.Table:
-        keep = t.filter(pc.equal(t["_side"], 1))["doc_id"]
-        left = t.filter(pc.equal(t["_side"], 0))
-        mask = pc.is_in(left["doc_id"],
-                        value_set=keep.combine_chunks()
-                        if isinstance(keep, pa.ChunkedArray) else keep)
-        return left.filter(mask).drop_columns(["_side"])
-
-    return bucketed_groupby(u, "doc_id", resolve, num_buckets=num_buckets,
-                            batch_format="pyarrow")
 
 
 def stratified_sample(ds: ray.data.Dataset, *, per_group: int,

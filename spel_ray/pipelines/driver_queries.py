@@ -61,12 +61,12 @@ def q_lang_distribution(sf_dir: str) -> pd.DataFrame:
                   .rename("n_docs").reset_index()
         return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
 
-    from spel_ray.state.shuffle import finalize_partials
+    from spel_ray.state.shuffle import bucketed_groupby
 
-    out = finalize_partials(
+    out = bucketed_groupby(
         ds.map_batches(partial, batch_format="pyarrow"), ["lang"],
         lambda df: df.groupby("lang", sort=False)["n_docs"].sum()
-                     .reset_index())
+                     .reset_index(), num_buckets=16)
     return out.to_pandas().sort_values("lang").reset_index(drop=True)
 
 
@@ -323,12 +323,12 @@ def q_train_split(sf_dir: str) -> pd.DataFrame:
 # ---------------------------------------------------------------- embeddings
 def _load_queries(sf_dir: str, n_queries: int = 5):
     import pyarrow.parquet as pq
+
+    from spel_ray.functions.similarity import embeddings
     t = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                      columns=["vec_id", "embedding"])
-    df = t.to_pandas()
-    df = df[df["vec_id"] < n_queries].sort_values("vec_id")
-    return (np.vstack(df["embedding"].to_numpy()).astype(np.float64),
-            df["vec_id"].to_numpy())
+                      columns=["vec_id", "embedding"],
+                      filters=[("vec_id", "<", n_queries)]).sort_by("vec_id")
+    return embeddings(t["embedding"]), np.asarray(t["vec_id"])
 
 
 def q_ann_topk(sf_dir: str) -> pd.DataFrame:
@@ -410,9 +410,9 @@ def q_embedding_neardup(sf_dir: str) -> pd.DataFrame:
                          "embedding": pc.cast(t["embedding"], f64)})
 
     import pyarrow.parquet as pq
-    seed_tbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
-    seeds = seed_tbl.filter(pc.less(seed_tbl["vec_id"], 20))
+    seeds = pq.read_table(f"{sf_dir}/embeddings.parquet",
+                          columns=["vec_id", "embedding"],
+                          filters=[("vec_id", "<", 20)])
     vecs = {int(i): np.asarray(v, dtype=np.float64)
             for i, v in zip(seeds["vec_id"].to_pylist(),
                             seeds["embedding"].to_pylist())}
@@ -695,7 +695,7 @@ def q_sliding_window(sf_dir: str) -> pd.DataFrame:
         ).reset_index()
         return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
 
-    from spel_ray.state.shuffle import finalize_partials
+    from spel_ray.state.shuffle import bucketed_groupby
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["event_type", "window_start_step"], sort=False).agg(
@@ -704,8 +704,9 @@ def q_sliding_window(sf_dir: str) -> pd.DataFrame:
         g["total_value"] = g["total_value"].round(2)
         return g
 
-    out = finalize_partials(ds.map_batches(explode, batch_format="pyarrow"),
-                            ["event_type", "window_start_step"], final)
+    out = bucketed_groupby(ds.map_batches(explode, batch_format="pyarrow"),
+                           ["event_type", "window_start_step"], final,
+                           num_buckets=16)
     return out.to_pandas().sort_values(
         ["event_type", "window_start_step"]).reset_index(drop=True)
 
@@ -713,19 +714,19 @@ def q_sliding_window(sf_dir: str) -> pd.DataFrame:
 def q_embedding_stats(sf_dir: str) -> pd.DataFrame:
     """Per-label embedding count + mean L2 norm (vectorized numpy per
     batch, partial/final aggregate)."""
+    from spel_ray.functions.similarity import embeddings
+    from spel_ray.state.shuffle import bucketed_groupby
+
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["label", "embedding"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        emb = np.vstack(batch["embedding"].to_pylist()).astype(np.float64)
-        norms = np.linalg.norm(emb, axis=1)
+        norms = np.linalg.norm(embeddings(batch["embedding"]), axis=1)
         df = pd.DataFrame({"label": batch["label"].to_numpy(),
                            "s": norms, "n": 1})
         g = df.groupby("label", sort=False).agg(
             sum_norm=("s", "sum"), n_vecs=("n", "size")).reset_index()
         return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    from spel_ray.state.shuffle import finalize_partials
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("label", sort=False).agg(
@@ -737,8 +738,8 @@ def q_embedding_stats(sf_dir: str) -> pd.DataFrame:
             "n_vecs": g["n_vecs"].astype("int64"),
         })
 
-    out = finalize_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                            ["label"], final)
+    out = bucketed_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                           ["label"], final, num_buckets=16)
     return out.to_pandas().sort_values("label").reset_index(drop=True)
 
 
@@ -767,11 +768,12 @@ def q_simhash_clusters_docs(sf_dir: str) -> pd.DataFrame:
 def q_asof_join(sf_dir: str) -> pd.DataFrame:
     """As-of join (J-family, ≙ the reference's ordered positional alignment
     ``utils.py:425-545``): each event picks the latest order of the same
-    customer at-or-before its timestamp. Both sides are bucketed by the key
-    and resolved with ``pd.merge_asof`` inside the bucket — the guide's
-    prescribed pattern for range/as-of joins. Orders are pre-deduped to one
-    per (custkey, date) so tie semantics match the SQL oracle exactly."""
-    from spel_ray.state.shuffle import bucketed_groupby
+    customer at-or-before its timestamp. Both sides are co-partitioned by
+    the key (``cogroup``) and resolved with ``pd.merge_asof`` inside the
+    bucket — the guide's prescribed pattern for range/as-of joins. Orders
+    are pre-deduped to one per (custkey, date) so tie semantics match the
+    SQL oracle exactly."""
+    from spel_ray.state.shuffle import cogroup
 
     events = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                    columns=["event_id", "user_id", "ts"])
@@ -779,61 +781,29 @@ def q_asof_join(sf_dir: str) -> pd.DataFrame:
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"])
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "_k": batch["user_id"],
-            "_side": pa.array(np.zeros(n, dtype=np.int8)),
-            "event_id": batch["event_id"],
-            "ts": batch["ts"],
-            "o_orderkey": pa.nulls(n, pa.int64()),
-            "o_orderdate": pa.nulls(n, pa.timestamp("us")),
-        })
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "_k": pa.array(np.asarray(batch["o_custkey"], dtype=np.int64),
-                           pa.int64()),
-            "_side": pa.array(np.ones(n, dtype=np.int8)),
-            "event_id": pa.nulls(n, pa.int64()),
-            "ts": pa.nulls(n, pa.timestamp("us")),
-            "o_orderkey": batch["o_orderkey"],
-            "o_orderdate": batch["o_orderdate"].cast(pa.timestamp("us")),
-        })
-
-    u = events.map_batches(tag_left, batch_format="pyarrow").union(
-        orders.map_batches(tag_right, batch_format="pyarrow"))
-
-    def resolve(t: pa.Table) -> pd.DataFrame:
-        # pyarrow through the shuffle (ADVICE r1): the tagged union carries
-        # nullable int64 event_id/o_orderkey — a pandas shuffle format would
-        # promote them to float64. Split sides FIRST (each side's own ids are
-        # non-null), then convert.
-        left = t.filter(pc.equal(t["_side"], 0)) \
-                .select(["_k", "event_id", "ts"]).to_pandas()
-        right = t.filter(pc.equal(t["_side"], 1)) \
-                 .select(["_k", "o_orderkey", "o_orderdate"]).to_pandas()
+    def resolve(ev: pa.Table, od: pa.Table) -> pd.DataFrame:
+        left, right = ev.to_pandas(), od.to_pandas()
         if left.empty:
             return pd.DataFrame({"event_id": pd.Series(dtype="int64"),
                                  "user_id": pd.Series(dtype="int64"),
                                  "o_orderkey": pd.Series(dtype="int64")})
         # dedupe ties: keep max orderkey per (cust, date) — mirrored in SQL
-        right = (right.sort_values(["_k", "o_orderdate", "o_orderkey"])
-                      .drop_duplicates(["_k", "o_orderdate"], keep="last"))
-        left = left.sort_values("ts")
-        right = right.sort_values("o_orderdate")
-        m = pd.merge_asof(left, right, left_on="ts", right_on="o_orderdate",
-                          by="_k", direction="backward",
-                          allow_exact_matches=True)
+        right = (right.sort_values(["o_custkey", "o_orderdate", "o_orderkey"])
+                      .drop_duplicates(["o_custkey", "o_orderdate"],
+                                       keep="last"))
+        m = pd.merge_asof(left.sort_values("ts"),
+                          right.sort_values("o_orderdate"),
+                          left_on="ts", right_on="o_orderdate",
+                          left_by="user_id", right_by="o_custkey",
+                          direction="backward", allow_exact_matches=True)
         return pd.DataFrame({
             "event_id": m["event_id"].astype("int64"),
-            "user_id": m["_k"].astype("int64"),
+            "user_id": m["user_id"].astype("int64"),
             "o_orderkey": m["o_orderkey"].fillna(-1).astype("int64"),
         })
 
-    out = bucketed_groupby(u, "_k", resolve, num_buckets=8,
-                           batch_format="pyarrow")
+    out = cogroup(events, orders, "user_id", "o_custkey", resolve,
+                  num_buckets=8)
     return out.to_pandas().sort_values("event_id").reset_index(drop=True)
 
 

@@ -22,11 +22,19 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from spel_ray.state.shuffle import finalize_partials
+from spel_ray.state.shuffle import bucketed_groupby, bucketed_join
 
 
 def _read(sf_dir: str, table: str, columns: list[str]) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+
+
+def _collect(ds: ray.data.Dataset) -> pd.DataFrame:
+    """``to_pandas`` that keeps the typed columns of an all-empty result
+    (Ray drops them; the join's typed empty blocks still carry them)."""
+    df = ds.to_pandas()
+    return df if len(df.columns) else \
+        ds.schema().base_schema.empty_table().to_pandas()
 
 
 def _count_all() -> pc.CountOptions:
@@ -85,7 +93,8 @@ def q_lineitem_agg(sf_dir: str) -> pd.DataFrame:
         return g
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
-    out = finalize_partials(parts, ["l_returnflag", "l_linestatus"], final)
+    out = bucketed_groupby(parts, ["l_returnflag", "l_linestatus"], final,
+                           num_buckets=16)
     return out.to_pandas().sort_values(
         ["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
@@ -115,7 +124,7 @@ def q_orders_by_month(sf_dir: str) -> pd.DataFrame:
         return g
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
-    out = finalize_partials(parts, ["o_year", "o_month"], final)
+    out = bucketed_groupby(parts, ["o_year", "o_month"], final, num_buckets=16)
     return out.to_pandas().sort_values(["o_year", "o_month"]).reset_index(drop=True)
 
 
@@ -174,17 +183,18 @@ def q_customer_nation(sf_dir: str) -> pd.DataFrame:
         g["total_acctbal"] = g["total_acctbal"].round(2)
         return g
 
-    out = finalize_partials(joined.map_batches(partial, batch_format="pyarrow"),
-                            ["n_name", "r_name"], final)
+    out = bucketed_groupby(joined.map_batches(partial, batch_format="pyarrow"),
+                           ["n_name", "r_name"], final, num_buckets=16)
     return out.to_pandas().sort_values(["n_name", "r_name"]).reset_index(drop=True)
 
 
 def q_orders_customer_join(sf_dir: str) -> pd.DataFrame:
-    """Both-sides hash join (Dataset.join) + grouped aggregate."""
+    """Both-sides-large inner join (bucketed co-partition) + grouped
+    aggregate."""
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    j = orders.join(cust, join_type="inner", num_partitions=8,
-                    on=("o_custkey",), right_on=("c_custkey",))
+    j = bucketed_join(orders, cust, "o_custkey", "c_custkey", how="inner",
+                      num_buckets=8)
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -200,8 +210,8 @@ def q_orders_customer_join(sf_dir: str) -> pd.DataFrame:
         g["total_price"] = g["total_price"].round(2)
         return g
 
-    out = finalize_partials(j.map_batches(partial, batch_format="pyarrow"),
-                            ["c_mktsegment"], final)
+    out = bucketed_groupby(j.map_batches(partial, batch_format="pyarrow"),
+                           ["c_mktsegment"], final, num_buckets=16)
     return out.to_pandas().sort_values("c_mktsegment").reset_index(drop=True)
 
 
@@ -250,8 +260,9 @@ def q_events_window(sf_dir: str) -> pd.DataFrame:
         g["total_value"] = g["total_value"].round(2)
         return g
 
-    out = finalize_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                            ["event_type", "window_hour"], final)
+    out = bucketed_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                           ["event_type", "window_hour"], final,
+                           num_buckets=16)
     return out.to_pandas().sort_values(
         ["event_type", "window_hour"]).reset_index(drop=True)
 
@@ -268,10 +279,11 @@ def q_distinct_flags(sf_dir: str) -> pd.DataFrame:
         return _pick(g, [("l_returnflag", "l_returnflag"),
                          ("l_linestatus", "l_linestatus")])
 
-    out = finalize_partials(
+    out = bucketed_groupby(
         ds.map_batches(local_unique, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
-        lambda df: df.drop_duplicates(["l_returnflag", "l_linestatus"]))
+        lambda df: df.drop_duplicates(["l_returnflag", "l_linestatus"]),
+        num_buckets=16)
     return out.to_pandas().sort_values(
         ["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
@@ -301,215 +313,9 @@ def q_part_type_stats(sf_dir: str) -> pd.DataFrame:
             g[c] = g[c].round(2)
         return g
 
-    out = finalize_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                            ["p_type"], final)
+    out = bucketed_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                           ["p_type"], final, num_buckets=16)
     return out.to_pandas().sort_values("p_type").reset_index(drop=True)
-
-
-# ------------------------------------------------------- semi- / anti-join
-def semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
-              left_key: str, right_key: str, *,
-              num_buckets: int = 32) -> ray.data.Dataset:
-    """Bucketed semi-join (EXISTS): rows of ``left`` whose key HAS a match
-    in ``right`` — same both-sides-large shuffle shape as :func:`anti_join`
-    (distinct-reduce the right, co-partition, vectorized ``is_in``)."""
-    return _key_filter_join(left, right, left_key, right_key,
-                            keep_matched=True, num_buckets=num_buckets)
-
-
-def anti_join(left: ray.data.Dataset, right: ray.data.Dataset,
-              left_key: str, right_key: str, *,
-              num_buckets: int = 32) -> ray.data.Dataset:
-    """Bucketed anti-join: rows of ``left`` whose key has NO match in
-    ``right`` (NOT EXISTS). Both sides may be arbitrarily large — no
-    broadcast: the right side is first reduced to per-batch distinct keys,
-    then both sides hash-co-partition on the key and each bucket answers
-    its own NOT EXISTS with one vectorized ``isin``. One shuffle total."""
-    return _key_filter_join(left, right, left_key, right_key,
-                            keep_matched=False, num_buckets=num_buckets)
-
-
-def _key_filter_join(left: ray.data.Dataset, right: ray.data.Dataset,
-                     left_key: str, right_key: str, *,
-                     keep_matched: bool, num_buckets: int) -> ray.data.Dataset:
-    from spel_ray.state.shuffle import add_bucket_column
-
-    left_cols = left.columns()
-    left_schema = left.schema()     # resolved driver-side: the UDF closure
-    left_types = dict(zip(left_schema.names, left_schema.types))
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        key = pc.cast(batch[left_key], pa.int64())
-        t = batch.append_column("_key", key)
-        # null-safe: "_key" keeps nullness for the EXISTS semantics;
-        # "_bkey" is a non-null stand-in used only for bucketing
-        t = t.append_column("_bkey", pc.fill_null(key, 0))
-        return t.append_column("_side", pa.array(
-            np.zeros(batch.num_rows, np.int8), pa.int8()))
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        # distinct inside the batch: the shuffle ships each key once per
-        # batch at most, not once per row. NULL right keys never match a
-        # SQL equality predicate — drop them here.
-        keys = pc.drop_null(pc.unique(pc.cast(batch[right_key], pa.int64())))
-        t = pa.table({"_key": keys})
-        t = t.append_column("_bkey", keys)
-        for c in left_cols:     # align schemas for the union (all-null)
-            t = t.append_column(c, pa.nulls(len(keys), left_types[c]))
-        return t.append_column("_side", pa.array(
-            np.ones(len(keys), np.int8), pa.int8()))
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.map_batches(tag_right, batch_format="pyarrow")
-    both = lt.select_columns(["_key", "_bkey", "_side"] + left_cols).union(
-        rt.select_columns(["_key", "_bkey", "_side"] + left_cols))
-
-    def bucket_anti(t: pa.Table) -> pa.Table:
-        right_keys = t.filter(pc.equal(t["_side"], 1))["_key"]
-        lrows = t.filter(pc.equal(t["_side"], 0))
-        # a NULL left key matches nothing (SQL: NULL = x is never true):
-        # fill_null(False) makes anti KEEP and semi DROP such rows
-        matched = pc.fill_null(
-            pc.is_in(lrows["_key"], value_set=right_keys.combine_chunks()),
-            False)
-        keep = matched if keep_matched else pc.invert(matched)
-        return lrows.filter(keep).select(left_cols)
-
-    with_bucket = both.map_batches(
-        lambda b: add_bucket_column(b, "_bkey", num_buckets),
-        batch_format="pyarrow")
-    return with_bucket.groupby("_bucket").map_groups(
-        lambda t: bucket_anti(t.drop_columns(["_bucket"])),
-        batch_format="pyarrow")
-
-
-# -------------------------------------------------------- left outer join
-def left_outer_join(left: ray.data.Dataset, right: ray.data.Dataset,
-                    left_key: str, right_key: str, *, full: bool = False,
-                    num_buckets: int = 32) -> ray.data.Dataset:
-    """Bucketed LEFT OUTER JOIN: every left row survives — duplicated per
-    matching right row with the right payload attached, null-extended on a
-    miss (the reference's candidate probe keeps the row as ``O`` when the
-    lookup misses, ``candidate_manager.py:58-74`` — left-join semantics).
-    With ``full=True``, FULL OUTER: unmatched RIGHT rows also surface,
-    null-extended on the left columns.
-
-    Both sides may be arbitrarily large: one hash co-partition shuffle on
-    the key, then each bucket answers with a vectorized sorted-key range
-    join (searchsorted + repeat — no per-row Python). A NULL key on either
-    side never matches (SQL equality), but NULL-keyed LEFT rows still
-    surface null-extended (and NULL-keyed RIGHT rows too when ``full``).
-    Output columns = left columns + right payload (right columns minus
-    ``right_key``), with Arrow-typed nulls."""
-    from spel_ray.state.shuffle import add_bucket_column
-
-    left_cols = left.columns()
-    right_cols = [c for c in right.columns() if c != right_key]
-    if set(left_cols) & set(right_cols):
-        raise ValueError("left/right payload column names must not overlap")
-    left_schema = left.schema()
-    left_types = dict(zip(left_schema.names, left_schema.types))
-    right_schema = right.schema()
-    right_types = dict(zip(right_schema.names, right_schema.types))
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        key = pc.cast(batch[left_key], pa.int64())
-        t = pa.table({"_key": key, "_bkey": pc.fill_null(key, 0),
-                      "_side": pa.array(
-                          np.zeros(batch.num_rows, np.int8), pa.int8())})
-        for c in left_cols:
-            t = t.append_column(c, batch[c])
-        for c in right_cols:
-            t = t.append_column(c, pa.nulls(batch.num_rows, right_types[c]))
-        return t
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        # NULL right keys can never match; a LEFT join drops them here, a
-        # FULL join keeps them to surface null-extended
-        if full:
-            b = batch
-        else:
-            b = batch.filter(pc.is_valid(pc.cast(batch[right_key],
-                                                 pa.int64())))
-        key = pc.cast(b[right_key], pa.int64())
-        t = pa.table({"_key": key, "_bkey": pc.fill_null(key, 0),
-                      "_side": pa.array(np.ones(b.num_rows, np.int8),
-                                        pa.int8())})
-        for c in left_cols:
-            t = t.append_column(c, pa.nulls(b.num_rows, left_types[c]))
-        for c in right_cols:
-            t = t.append_column(c, b[c])
-        return t
-
-    out_cols = left_cols + right_cols
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.map_batches(tag_right, batch_format="pyarrow")
-    both = lt.select_columns(["_key", "_bkey", "_side"] + out_cols).union(
-        rt.select_columns(["_key", "_bkey", "_side"] + out_cols))
-
-    with_bucket = both.map_batches(
-        lambda b: add_bucket_column(b, "_bkey", num_buckets),
-        batch_format="pyarrow")
-    return with_bucket.groupby("_bucket").map_groups(
-        lambda t: _outer_join_bucket(t.drop_columns(["_bucket"]),
-                                     left_cols, right_cols, left_types,
-                                     full),
-        batch_format="pyarrow")
-
-
-def _outer_join_bucket(t: pa.Table, left_cols: list[str],
-                       right_cols: list[str], left_types: dict,
-                       full: bool) -> pa.Table:
-    """One co-partitioned bucket of :func:`left_outer_join` (tagged-union
-    format: ``_key``/``_side`` + left columns + right payload): vectorized
-    sorted-key range join via searchsorted + repeat. Module-level so the
-    SQL-semantics property test can drive it Ray-free."""
-    lrows = t.filter(pc.equal(t["_side"], 0))
-    rrows = t.filter(pc.equal(t["_side"], 1))
-    lkey_arr = lrows["_key"]
-    lnull = np.asarray(pc.is_null(lkey_arr), dtype=bool)
-    lkeys = np.asarray(pc.fill_null(lkey_arr, 0), dtype=np.int64)
-    rkey_arr = rrows["_key"]
-    rnull = np.asarray(pc.is_null(rkey_arr), dtype=bool)
-    rkeys = np.asarray(pc.fill_null(rkey_arr, 0), dtype=np.int64)
-    vidx = np.flatnonzero(~rnull)   # only valid-key right rows join
-    order = vidx[np.argsort(rkeys[vidx], kind="stable")]
-    rk = rkeys[order]
-    lo = np.searchsorted(rk, lkeys, side="left")
-    hi = np.searchsorted(rk, lkeys, side="right")
-    cnt = np.where(lnull, 0, hi - lo)
-    rep = np.maximum(cnt, 1)       # misses still emit one null row
-    lidx = np.repeat(np.arange(len(lkeys), dtype=np.int64), rep)
-    starts = np.repeat(np.where(cnt > 0, lo, 0), rep)
-    offs = (np.arange(rep.sum(), dtype=np.int64)
-            - np.repeat(np.cumsum(rep) - rep, rep))
-    matched = np.repeat(cnt > 0, rep)
-    # np.where evaluates both branches: guard the gather when this
-    # bucket has no valid-key right rows at all (order is empty)
-    rtake = (order[starts + offs] if len(order)
-             else np.zeros(len(matched), np.int64))
-    ridx = pa.array(np.where(matched, rtake, 0),
-                    pa.int64(), mask=~matched)   # null idx → null take
-    cols = {c: lrows[c].take(pa.array(lidx)) for c in left_cols}
-    for c in right_cols:
-        cols[c] = rrows[c].take(ridx)
-    out = pa.table(cols)
-    if not full:
-        return out
-    # FULL OUTER: append right rows no left key matched (plus the
-    # NULL-keyed right rows), left columns null-extended
-    lk = np.unique(lkeys[~lnull])
-    if len(lk):
-        pos = np.clip(np.searchsorted(lk, rk), 0, len(lk) - 1)
-        r_matched = lk[pos] == rk
-    else:
-        r_matched = np.zeros(len(rk), dtype=bool)
-    un = np.concatenate([order[~r_matched], np.flatnonzero(rnull)])
-    extra = {c: pa.nulls(len(un), left_types[c]) for c in left_cols}
-    take = pa.array(un, pa.int64())
-    for c in right_cols:
-        extra[c] = rrows[c].take(take)
-    return pa.concat_tables([out, pa.table(extra)])
 
 
 def q_orders_left_join(sf_dir: str) -> pd.DataFrame:
@@ -524,9 +330,8 @@ def q_orders_left_join(sf_dir: str) -> pd.DataFrame:
     def big(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.greater(batch["o_totalprice"], 400000.0))
 
-    out = left_outer_join(cust, orders.map_batches(big,
-                                                   batch_format="pyarrow"),
-                          "c_custkey", "o_custkey", num_buckets=16)
+    out = bucketed_join(cust, orders.map_batches(big, batch_format="pyarrow"),
+                        "c_custkey", "o_custkey", how="left", num_buckets=16)
 
     def fin(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -554,10 +359,10 @@ def q_orders_full_join(sf_dir: str) -> pd.DataFrame:
     def big(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.greater(batch["o_totalprice"], 400000.0))
 
-    out = left_outer_join(
+    out = bucketed_join(
         cust.map_batches(small, batch_format="pyarrow"),
         orders.map_batches(big, batch_format="pyarrow"),
-        "c_custkey", "o_custkey", full=True, num_buckets=16)
+        "c_custkey", "o_custkey", how="full", num_buckets=16)
 
     def fin(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -582,13 +387,9 @@ def q_customers_no_orders(sf_dir: str) -> pd.DataFrame:
         return batch.filter(
             pc.greater(batch["o_totalprice"], 400000.0)).select(["o_custkey"])
 
-    out = anti_join(cust, orders.map_batches(big, batch_format="pyarrow"),
-                    "c_custkey", "o_custkey", num_buckets=16)
-    df = out.to_pandas()
-    if "c_custkey" not in df.columns:       # empty Dataset loses its schema
-        df = pd.DataFrame({"c_custkey": pd.Series(dtype="int64"),
-                           "c_name": pd.Series(dtype=object)})
-    return df.sort_values("c_custkey").reset_index(drop=True)
+    out = bucketed_join(cust, orders.map_batches(big, batch_format="pyarrow"),
+                        "c_custkey", "o_custkey", how="anti", num_buckets=16)
+    return _collect(out).sort_values("c_custkey").reset_index(drop=True)
 
 
 def q_customers_big_orders(sf_dir: str) -> pd.DataFrame:
@@ -601,13 +402,9 @@ def q_customers_big_orders(sf_dir: str) -> pd.DataFrame:
         return batch.filter(
             pc.greater(batch["o_totalprice"], 400000.0)).select(["o_custkey"])
 
-    out = semi_join(cust, orders.map_batches(big, batch_format="pyarrow"),
-                    "c_custkey", "o_custkey", num_buckets=16)
-    df = out.to_pandas()
-    if "c_custkey" not in df.columns:       # empty Dataset loses its schema
-        df = pd.DataFrame({"c_custkey": pd.Series(dtype="int64"),
-                           "c_name": pd.Series(dtype=object)})
-    return df.sort_values("c_custkey").reset_index(drop=True)
+    out = bucketed_join(cust, orders.map_batches(big, batch_format="pyarrow"),
+                        "c_custkey", "o_custkey", how="semi", num_buckets=16)
+    return _collect(out).sort_values("c_custkey").reset_index(drop=True)
 
 
 def q_revenue_rollup(sf_dir: str) -> pd.DataFrame:
@@ -634,9 +431,9 @@ def q_revenue_rollup(sf_dir: str) -> pd.DataFrame:
             total_price=("total_price", "sum"),
             n_orders=("n_orders", "sum")).reset_index()
 
-    leaves = finalize_partials(
+    leaves = bucketed_groupby(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["o_year", "o_month"], final).to_pandas()
+        ["o_year", "o_month"], final, num_buckets=16).to_pandas()
     # rollup levels from the (tiny) leaf table — sum in sorted leaf order
     # on BOTH sides so the float partial sums agree bit-for-bit
     leaves = leaves.sort_values(["o_year", "o_month"]).reset_index(drop=True)

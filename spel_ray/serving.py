@@ -87,6 +87,9 @@ def _batch_query_features(cfg: LinkageConfig, sketch: "MinHasher",
         "content": pa.array([c or "" for c in contents], pa.string()),
     })
     fp = fingerprint_batch(tbl, strip_comments=cfg.strip_comments)
+    if fp.num_rows != n:     # a dropped query would silently get no hits
+        raise RuntimeError(f"fingerprint_batch returned {fp.num_rows} rows "
+                           f"for {n} queries")
     rid_to_qi = {int(r): i for i, r in enumerate(fp["row_id"].to_pylist())}
     f = _features(explode(sketch(fp)), cfg)
     out: list[dict | None] = [None] * n

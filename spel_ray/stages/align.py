@@ -27,7 +27,6 @@ per-doc walk is O(total squashed chars).
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import ray.data
 
@@ -122,50 +121,33 @@ def align_gold_pred(gold: ray.data.Dataset, pred: ray.data.Dataset, *,
                     doc_col: str = "doc_id", idx_col: str = "span_idx",
                     text_col: str = "text", label_col: str = "label",
                     num_buckets: int = 32) -> ray.data.Dataset:
-    """Distributed fuzzy alignment: one bucketed shuffle colocates BOTH
-    span streams by document (≙ reference ``groupby(doc).map_groups`` zipper
-    join J3/J6); each bucket aligns all its documents in one pass.
+    """Distributed fuzzy alignment: one co-partition exchange (``cogroup``)
+    colocates BOTH span streams by document (≙ reference
+    ``groupby(doc).map_groups`` zipper join J3/J6); each bucket aligns all
+    its documents in one pass.
 
     Ordering comes from the explicit ``idx_col``, never block order
     (SURVEY.md §7.4)."""
-    import pyarrow as pa
+    from spel_ray.state.shuffle import cogroup
 
-    from spel_ray.state.shuffle import bucketed_groupby
+    def spans(t) -> dict:
+        df = t.to_pandas().sort_values([doc_col, idx_col])
+        return {doc: list(zip(g[text_col], g[label_col]))
+                for doc, g in df.groupby(doc_col, sort=False)}
 
-    def tag(side: int):
-        def f(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "_doc": batch[doc_col],
-                "_side": pa.array(np.full(batch.num_rows, side, np.int8)),
-                "_idx": batch[idx_col],
-                "_text": batch[text_col],
-                "_label": batch[label_col],
-            })
-        return f
-
-    u = gold.map_batches(tag(0), batch_format="pyarrow").union(
-        pred.map_batches(tag(1), batch_format="pyarrow"))
-
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
+    def resolve(g, p) -> pd.DataFrame:
+        g_spans, p_spans = spans(g), spans(p)
         rows: list[dict] = []
-        if len(df) == 0:
-            return pd.DataFrame({c: pd.Series(dtype=t) for c, t in zip(
-                ALIGN_COLS, ["int64", "int64", "int64", "object", "object",
-                             "object", "bool"])})
-        df = df.sort_values(["_doc", "_side", "_idx"])
-        for doc, g in df.groupby("_doc", sort=False):
-            gold_spans = list(zip(g.loc[g["_side"] == 0, "_text"],
-                                  g.loc[g["_side"] == 0, "_label"]))
-            pred_spans = list(zip(g.loc[g["_side"] == 1, "_text"],
-                                  g.loc[g["_side"] == 1, "_label"]))
-            for r in align_spans(gold_spans, pred_spans):
+        for doc in sorted(g_spans.keys() | p_spans.keys()):
+            for r in align_spans(g_spans.get(doc, []), p_spans.get(doc, [])):
                 r["doc_id"] = doc
                 rows.append(r)
         out = pd.DataFrame(rows, columns=ALIGN_COLS)
         return out.astype({"doc_id": "int64", "gold_idx": "int64",
                            "pred_idx": "int64", "correct": "bool"})
 
-    return bucketed_groupby(u, "_doc", resolve, num_buckets=num_buckets)
+    return cogroup(gold, pred, doc_col, doc_col, resolve,
+                   num_buckets=num_buckets)
 
 
 def subword_word_alignment(pieces: list[str], words: list[str], *,

@@ -25,7 +25,7 @@ import pyarrow as pa
 import ray.data
 
 from spel_ray.config import LinkageConfig
-from spel_ray.state.shuffle import bucketed_groupby, pair_key
+from spel_ray.state.shuffle import bucketed_groupby, bucketed_join, pair_key
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -117,91 +117,33 @@ def chunk_level_pairs(records: ray.data.Dataset, cfg: LinkageConfig | None = Non
     chunk_recs = chunks.map_batches(adapt, batch_format="pyarrow")
     blocks = block_keys(chunk_recs, cfg)
     chunk_pairs = scored_candidate_pairs(blocks, cfg, num_buckets=num_buckets)
-    good = chunk_pairs.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["score"], min_chunk_score)),
-        batch_format="pyarrow")
+    # each join input is pinned: the join reads its schema, then its rows
+    rec_pairs = chunk_pairs.map_batches(
+        lambda t: t.filter(pc.greater_equal(t["score"], min_chunk_score))
+                   .select(["id_lo", "id_hi", "score"]),
+        batch_format="pyarrow").materialize()
 
-    # chunk_id -> row_id resolution via two bucketed lookups against the
-    # (small relative to pairs) chunk map. The map is consumed twice (one
-    # hop per pair side); materializing the two-int64-column projection
+    # chunk_id -> row_id resolution: two bucketed inner joins (one hop per
+    # pair side) against the (small relative to pairs) chunk map. The map
+    # is consumed twice; materializing the two-int64-column projection
     # keeps the chunk EXPLODE single-pass instead of re-running it per
     # consumer (slim: ~16 B/chunk in the object store, spillable).
     cmap = chunks.select_columns(["chunk_id", "row_id"]).materialize()
-
-    def tag_side(batch: pa.Table, col: str) -> pa.Table:
-        return pa.table({
-            "_jk": batch[col],
-            "_side": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
-            "other": batch["id_hi" if col == "id_lo" else "id_lo"],
-            "score": batch["score"],
-            "rec": pa.nulls(batch.num_rows, pa.int64()),
-        })
-
-    def tag_map(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "_jk": batch["chunk_id"],
-            "_side": pa.array(np.ones(batch.num_rows, dtype=np.int8)),
-            "other": pa.nulls(batch.num_rows, pa.int64()),
-            "score": pa.nulls(batch.num_rows, pa.float64()),
-            "rec": batch["row_id"],
-        })
-
-    def resolve(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        right = t.filter(pc.equal(t["_side"], 1))
-        lut = dict(zip(right["_jk"].to_pylist(), right["rec"].to_pylist()))
-        left = t.filter(pc.equal(t["_side"], 0))
-        recs = [lut.get(k) for k in left["_jk"].to_pylist()]
-        return pa.table({
-            "rec_a": pa.array(recs, pa.int64()),
-            "other_chunk": left["other"],
-            "score": left["score"],
-        })
-
-    side_a = good.map_batches(lambda b: tag_side(b, "id_lo"),
-                              batch_format="pyarrow")
-    mapped_a = bucketed_groupby(
-        side_a.union(cmap.map_batches(tag_map, batch_format="pyarrow")),
-        "_jk", resolve, num_buckets=num_buckets, batch_format="pyarrow")
-
-    # second hop: other_chunk -> rec_b
-    def tag_side2(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "_jk": batch["other_chunk"],
-            "_side": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
-            "other": batch["rec_a"],
-            "score": batch["score"],
-            "rec": pa.nulls(batch.num_rows, pa.int64()),
-        })
-
-    def resolve2(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        right = t.filter(pc.equal(t["_side"], 1))
-        lut = dict(zip(right["_jk"].to_pylist(), right["rec"].to_pylist()))
-        left = t.filter(pc.equal(t["_side"], 0))
-        recs = [lut.get(k) for k in left["_jk"].to_pylist()]
-        a = left["other"].to_pylist()
-        lo = [min(x, y) if y is not None else None for x, y in zip(a, recs)]
-        hi = [max(x, y) if y is not None else None for x, y in zip(a, recs)]
-        return pa.table({
-            "id_lo": pa.array(lo, pa.int64()),
-            "id_hi": pa.array(hi, pa.int64()),
-            "score": left["score"],
-        })
-
-    side_b = mapped_a.map_batches(tag_side2, batch_format="pyarrow")
-    rec_pairs = bucketed_groupby(
-        side_b.union(cmap.map_batches(tag_map, batch_format="pyarrow")),
-        "_jk", resolve2, num_buckets=num_buckets, batch_format="pyarrow")
+    for side in ("lo", "hi"):
+        rec_pairs = bucketed_join(
+            rec_pairs, cmap.rename_columns({"row_id": f"rec_{side}"}),
+            f"id_{side}", "chunk_id", how="inner",
+            num_buckets=num_buckets).materialize()
 
     # vote up to record pairs: same-record chunk matches dropped
     def add_pk(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pa.compute.and_(
-            pa.compute.is_valid(batch["id_lo"]),
-            pa.compute.not_equal(batch["id_lo"], batch["id_hi"])))
-        pk = pair_key(np.asarray(t["id_lo"], dtype=np.int64),
-                      np.asarray(t["id_hi"], dtype=np.int64))
-        return t.append_column("_pk", pa.array(pk, pa.int64()))
+        a = np.asarray(batch["rec_lo"], dtype=np.int64)
+        b = np.asarray(batch["rec_hi"], dtype=np.int64)
+        keep = a != b
+        lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+        return pa.table({"id_lo": lo, "id_hi": hi,
+                         "score": batch["score"].filter(pa.array(keep)),
+                         "_pk": pair_key(lo, hi)})
 
     keyed = rec_pairs.map_batches(add_pk, batch_format="pyarrow")
 

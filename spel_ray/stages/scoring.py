@@ -26,6 +26,7 @@ import ray.data
 
 from spel_ray.config import LinkageConfig
 from spel_ray.functions.strings import jaro_winkler_pairs, token_jaccard_pairs
+from spel_ray.state.shuffle import bucketed_join
 
 
 def score_pair_arrays(cfg: LinkageConfig,
@@ -76,78 +77,11 @@ class BorderlineVerifier:
         return out
 
 
-def _bucketed_content_join(left: ray.data.Dataset, records: ray.data.Dataset,
-                           id_col: str, out_col: str,
-                           num_buckets: int) -> ray.data.Dataset:
-    """Distributed hash join of ``left[id_col]`` against
-    ``records(row_id, norm_content)`` → adds ``out_col``.
-
-    Built on the engine's bucketed shuffle instead of actor-based hash join:
-    both sides are union'd under an aligned schema with a ``_side`` tag,
-    bucketed by the join key, and each bucket resolves the lookup with one
-    pandas dict probe. Deterministic resource footprint at any CPU count."""
-    import pyarrow as pa
-
-    from spel_ray.state.shuffle import bucketed_groupby
-
-    sch = left.schema()  # ray.data Schema wrapper: .names + .types
-    if sch is None:      # empty left (e.g. no borderline pairs): nothing to join
-        return left
-    left_names = list(sch.names)
-
-    def _arrow_type(t):
-        if isinstance(t, pa.DataType):
-            return t
-        dt = np.dtype(t)  # pandas-backed blocks
-        if dt == np.dtype(object):
-            return pa.string()  # object columns here are always strings
-        return pa.from_numpy_dtype(dt)
-
-    left_types = {n: _arrow_type(t) for n, t in zip(sch.names, sch.types)}
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        out = batch.append_column("_jk", batch[id_col])
-        out = out.append_column("_side", pa.array(np.zeros(n, dtype=np.int8)))
-        return out.append_column(out_col, pa.nulls(n, pa.string()))
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {"_jk": batch["row_id"],
-                "_side": pa.array(np.ones(n, dtype=np.int8)),
-                out_col: batch["norm_content"]}
-        for name in left_names:
-            cols[name] = pa.nulls(n, left_types[name])
-        order = left_names + ["_jk", "_side", out_col]
-        return pa.table({k: cols[k] for k in order})
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = records.select_columns(["row_id", "norm_content"]).map_batches(
-        tag_right, batch_format="pyarrow")
-
-    def resolve(t: pa.Table) -> pa.Table:
-        # pure-Arrow resolve: null int64 ids must never round-trip through
-        # pandas (float64 promotion corrupts large ids)
-        import pyarrow.compute as pc
-
-        side = t["_side"]
-        right = t.filter(pc.equal(side, 1))
-        lookup = dict(zip(right["_jk"].to_pylist(),
-                          right[out_col].to_pylist()))
-        left_rows = t.filter(pc.equal(side, 0))
-        vals = [lookup.get(k) for k in left_rows["_jk"].to_pylist()]
-        out = left_rows.select(left_names)
-        return out.append_column(out_col, pa.array(vals, pa.string()))
-
-    return bucketed_groupby(lt.union(rt), "_jk", resolve,
-                            num_buckets=num_buckets, batch_format="pyarrow")
-
-
 def verify_borderline(pairs: ray.data.Dataset, records: ray.data.Dataset,
                       cfg: LinkageConfig, *, num_buckets: int = 32
                       ) -> ray.data.Dataset:
-    """Split pairs into pass-through and borderline; hash-join borderline with
-    record content (bucketed join), verify, union back.
+    """Split pairs into pass-through and borderline; left-join borderline
+    with record content (``bucketed_join``), verify, union back.
 
     ``records`` must carry (row_id, norm_content)."""
     import pyarrow as pa
@@ -173,14 +107,15 @@ def verify_borderline(pairs: ray.data.Dataset, records: ray.data.Dataset,
     passthrough = passthrough.map_batches(mark_unverified, batch_format="pyarrow")
 
     border = pairs.map_batches(lambda b: split(b, True), batch_format="pyarrow")
-    j1 = _bucketed_content_join(border, records, "id_lo", "content_lo",
-                                num_buckets)
-    j2 = _bucketed_content_join(j1, records, "id_hi", "content_hi",
-                                num_buckets)
+    for side in ("lo", "hi"):       # content of each pair end, misses kept
+        content = records.select_columns(["row_id", "norm_content"]) \
+                         .rename_columns({"norm_content": f"content_{side}"})
+        border = bucketed_join(border, content, f"id_{side}", "row_id",
+                               how="left", num_buckets=num_buckets)
 
     # autoscaling pool (1, N): never reserves every CPU on a small node, so
     # upstream stages can't be starved into a scheduling deadlock
-    verified = j2.map_batches(BorderlineVerifier, fn_constructor_args=(cfg,),
+    verified = border.map_batches(BorderlineVerifier, fn_constructor_args=(cfg,),
                               batch_format="pandas",
                               batch_size=cfg.pair_batch_size,
                               concurrency=(1, cfg.scorer_concurrency))

@@ -1,12 +1,23 @@
-"""Bucketed-shuffle primitive — the engine's one wide-exchange pattern.
+"""Bucketed shuffle — the engine's one wide exchange, and the joins built on it.
 
-``groupby(key).map_groups(fn)`` calls ``fn`` once per distinct key; with
-millions of tiny groups (LSH blocks, pair keys, graph nodes) the per-group
-Python overhead dominates. Instead every wide step here goes through
-``bucketed_groupby``: key → ``hash(key) % num_buckets`` → one shuffle on the
-small, uniform bucket id → ``fn`` receives an entire bucket as ONE pandas
-DataFrame and handles all its groups vectorized (C-speed pandas/numpy
-groupby). This is the "salted groupby-aggregate shuffle" of the north_star:
+Primitives (no other module shuffles, tags or joins by hand):
+
+- ``add_bucket_column`` — THE bucket hash: one key column or a list of them
+  (int-like or string) → uniform id in ``[0, num_buckets)``.
+- ``bucketed_groupby(ds, key, fn)`` — the only exchange: key →
+  ``hash(key) % num_buckets`` → one sort shuffle on the small bucket id →
+  ``fn`` receives an entire bucket as ONE pandas DataFrame / Arrow table and
+  handles all its groups vectorized. ``groupby(key).map_groups(fn)`` would
+  call ``fn`` once per distinct key; with millions of tiny groups (LSH
+  blocks, pair keys, graph nodes) that per-group Python overhead dominates.
+- ``cogroup(left, right, left_on, right_on, fn)`` — co-partitions two
+  datasets on an integer key: ``fn(left_tbl, right_tbl)`` runs once per
+  bucket, each side under its own column names.
+- ``bucketed_join(..., how=inner|left|full|semi|anti)`` — SQL joins as a
+  ``cogroup`` whose per-bucket kernel is the Ray-free ``join_bucket``.
+- ``stable_str_hash`` / ``pair_key`` — cross-process-stable key helpers.
+
+Exchange properties:
 
 - uniformity: keys are already uint64 hashes, so ``key % B`` load-balances;
 - skew: a single hot key still lands in one bucket — per-key work is bounded
@@ -21,27 +32,46 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
+JOIN_KINDS = ("inner", "left", "full", "semi", "anti")
+# the column names a cogroup puts on the wire; payload may not use them
+_RESERVED = ("_bucket", "_key", "_l", "_r")
 
-def add_bucket_column(batch: pa.Table, key_col: str, num_buckets: int) -> pa.Table:
-    """int64 key column → uniform bucket id in [0, num_buckets)."""
-    k = batch[key_col].combine_chunks() if isinstance(batch[key_col], pa.ChunkedArray) else batch[key_col]
-    arr = np.asarray(k, dtype=np.int64).view(np.uint64).copy()
-    arr *= _MIX
-    arr ^= arr >> np.uint64(29)
-    bucket = (arr % np.uint64(num_buckets)).astype(np.int64)
+
+def _key_u64(col) -> np.ndarray:
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        return stable_str_hash(col.to_pylist()).view(np.uint64)
+    if col.type != pa.int64() or col.null_count:
+        col = col.cast(pa.int64()).fill_null(0)
+    return np.asarray(col).view(np.uint64)
+
+
+def add_bucket_column(batch: pa.Table, key: str | list[str],
+                      num_buckets: int) -> pa.Table:
+    """Append ``_bucket``: a uniform id in [0, num_buckets) hashed from one
+    key column or a combined hash of several. Bucketing only needs
+    co-location (all rows of a group in one bucket), so a null hashes like
+    0 / the empty string. A single non-null int64 key is read with no cast
+    or copy — the flagship's hot shuffle."""
+    h = np.zeros(batch.num_rows, dtype=np.uint64)
+    for c in [key] if isinstance(key, str) else key:
+        h ^= _key_u64(batch[c])
+        h *= _MIX
+        h ^= h >> np.uint64(29)
+    bucket = (h % np.uint64(num_buckets)).astype(np.int64)
     return batch.append_column("_bucket", pa.array(bucket, pa.int64()))
 
 
 def bucketed_groupby(
     ds: ray.data.Dataset,
-    key_col: str,
+    key: str | list[str],
     fn: Callable,
     *,
     num_buckets: int = 64,
@@ -49,62 +79,200 @@ def bucketed_groupby(
 ) -> ray.data.Dataset:
     """Shuffle rows by hash(key) into ``num_buckets`` groups; ``fn`` gets each
     bucket as one DataFrame / Arrow table (bucket column removed) and must
-    itself group by ``key_col`` vectorized.
+    itself group by ``key`` vectorized. With a list key this is the final
+    combine of per-batch partial aggregates: every group lands wholly in one
+    bucket, so a plain ``df.groupby(key).agg(...)`` per bucket is final.
 
     Use ``batch_format="pyarrow"`` whenever a bucket may contain null int64
     ids — the pandas conversion would silently promote those columns to
     float64 and corrupt large ids."""
     with_bucket = ds.map_batches(
-        lambda b, c=key_col, n=num_buckets: add_bucket_column(b, c, n),
+        lambda b, c=key, n=num_buckets: add_bucket_column(b, c, n),
         batch_format="pyarrow", zero_copy_batch=True)
 
     if batch_format == "pyarrow":
         def run(bucket: pa.Table):
             return fn(bucket.drop_columns(["_bucket"]))
     else:
-        def run(bucket: pd.DataFrame):
+        def run(bucket):
             return fn(bucket.drop(columns=["_bucket"]))
 
     return with_bucket.groupby("_bucket").map_groups(
         run, batch_format=batch_format)
 
 
-def add_multi_bucket_column(batch: pa.Table, key_cols: list[str],
-                            num_buckets: int) -> pa.Table:
-    """Combined-hash bucket id over several (int or string) key columns —
-    the composite-key variant of :func:`add_bucket_column`. Bucketing only
-    needs co-location (all rows of a group in one bucket), so nulls hash
-    like 0 / the empty string."""
-    h = np.zeros(batch.num_rows, dtype=np.uint64)
-    for c in key_cols:
-        col = batch[c]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-            k = stable_str_hash(col.to_pylist()).view(np.uint64)
-        else:
-            k = np.asarray(col.cast(pa.int64()).fill_null(0),
-                           dtype=np.int64).view(np.uint64)
-        h = (h ^ k) * _MIX
-        h ^= h >> np.uint64(29)
-    bucket = (h % np.uint64(num_buckets)).astype(np.int64)
-    return batch.append_column("_bucket", pa.array(bucket, pa.int64()))
+# ------------------------------------------------------------ two-sided
+def _identity(batch: pa.Table) -> pa.Table:
+    return batch
 
 
-def finalize_partials(parts: ray.data.Dataset, key_cols: list[str],
-                      fn: Callable[[pd.DataFrame], pd.DataFrame], *,
-                      num_buckets: int = 16) -> ray.data.Dataset:
-    """Final combine of per-batch partial aggregates WITHOUT per-group
-    map_groups (the repo's shuffle rule, see module docstring): partial rows
-    are bucketed by a combined hash of ``key_cols``; ``fn`` receives each
-    bucket as ONE pandas DataFrame and must merge ALL its groups vectorized
-    (a plain ``df.groupby(key_cols).agg(...)``). Because every group lands
-    wholly in one bucket, per-bucket results are final."""
-    wb = parts.map_batches(
-        lambda b, k=key_cols, n=num_buckets: add_multi_bucket_column(b, k, n),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return wb.groupby("_bucket").map_groups(
-        lambda df: fn(df.drop(columns=["_bucket"])), batch_format="pandas")
+def _row_type(ds: ray.data.Dataset) -> pa.StructType | None:
+    """A side's row as a nullable Arrow struct type. Free when Ray knows the
+    schema statically (parquet reads, ``from_arrow``, materialized data);
+    otherwise one ``limit(1)`` run of the side's plan, typed by Arrow even
+    for pandas-backed blocks. None: an empty side Ray cannot type."""
+    sch = ds.schema(fetch_if_missing=False)
+    if sch is None or not isinstance(sch.base_schema, pa.Schema):
+        sch = ds.map_batches(_identity, batch_format="pyarrow").schema()
+    if sch is None:         # no rows: only the schema a source declares
+        sch = ds.schema()
+    if sch is None or not isinstance(sch.base_schema, pa.Schema):
+        return None
+    return pa.struct([f.with_nullable(True) for f in sch.base_schema])
+
+
+def _validate(ltype: pa.StructType | None, rtype: pa.StructType | None,
+              left_on: str, right_on: str, merged: bool) -> None:
+    """Every misuse check of cogroup / bucketed_join, on the driver, before
+    any task runs. ``merged``: the output puts both sides' columns side by
+    side (inner/left/full), so they must not overlap."""
+    for side, typ, key in (("left", ltype, left_on),
+                           ("right", rtype, right_on)):
+        if typ is None:
+            raise ValueError(f"{side} side is empty and has no schema")
+        names = [f.name for f in typ]
+        for c in names:
+            if c in _RESERVED:
+                raise ValueError(f"{side} column {c!r} is reserved by the "
+                                 f"exchange ({', '.join(_RESERVED)})")
+        if key not in names:
+            raise ValueError(f"{side} key {key!r} is not a column of {names}")
+        if not pa.types.is_integer(typ.field(key).type):
+            raise ValueError(f"{side} key {key!r} must be integer-typed, "
+                             f"got {typ.field(key).type}")
+    if merged:
+        overlap = sorted({f.name for f in ltype}
+                         & {f.name for f in rtype if f.name != right_on})
+        if overlap:
+            raise ValueError(f"left and right output columns overlap: "
+                             f"{overlap}")
+
+
+def _cogroup(left: ray.data.Dataset, ltype: pa.StructType,
+             right: ray.data.Dataset, rtype: pa.StructType,
+             left_on: str, right_on: str, fn: Callable,
+             num_buckets: int) -> ray.data.Dataset:
+    """Each side's row packs into ONE nullable struct column (``_l`` /
+    ``_r``): same-named columns on the two sides never collide, and the
+    other side is a single null column instead of one per payload column.
+    The bucket key ``_key`` is the join key with NULL co-located at 0; the
+    kernel sees the original, nullable key inside the struct."""
+    def tag(key: str, own: pa.StructType, other: pa.StructType, is_left: bool):
+        def f(batch: pa.Table) -> pa.Table:
+            row = pa.StructArray.from_arrays(
+                [batch[c.name].combine_chunks().cast(c.type) for c in own],
+                fields=list(own))
+            null = pa.nulls(batch.num_rows, other)
+            return pa.table({
+                "_key": pc.fill_null(pc.cast(batch[key], pa.int64()), 0),
+                "_l": row if is_left else null,
+                "_r": null if is_left else row})
+        return f
+
+    def side(t: pa.Table, col: str) -> pa.Table:
+        s = t[col]
+        return pa.Table.from_struct_array(
+            s.filter(pc.is_valid(s)).combine_chunks())
+
+    both = left.map_batches(tag(left_on, ltype, rtype, True),
+                            batch_format="pyarrow").union(
+        right.map_batches(tag(right_on, rtype, ltype, False),
+                          batch_format="pyarrow"))
+    return bucketed_groupby(both, "_key",
+                            lambda t: fn(side(t, "_l"), side(t, "_r")),
+                            num_buckets=num_buckets, batch_format="pyarrow")
+
+
+def cogroup(left: ray.data.Dataset, right: ray.data.Dataset,
+            left_on: str, right_on: str, fn: Callable, *,
+            num_buckets: int = 64) -> ray.data.Dataset:
+    """Co-partition two datasets on an integer key in ONE exchange:
+    ``fn(left_tbl, right_tbl)`` runs once per bucket with every left and
+    every right row whose key hashes there, each side an Arrow table under
+    its own column names (typed even when a side has no rows in the bucket),
+    and returns that bucket's output (Arrow table or DataFrame). NULL keys
+    of both sides share one bucket; matching semantics are ``fn``'s.
+
+    Raises ValueError (on the driver) for a reserved column name, a missing
+    or non-integer key, or a side that is empty with no schema."""
+    ltype, rtype = _row_type(left), _row_type(right)
+    _validate(ltype, rtype, left_on, right_on, merged=False)
+    return _cogroup(left, ltype, right, rtype, left_on, right_on, fn,
+                    num_buckets)
+
+
+def bucketed_join(left: ray.data.Dataset, right: ray.data.Dataset,
+                  left_on: str, right_on: str, *, how: str = "inner",
+                  num_buckets: int = 64) -> ray.data.Dataset:
+    """SQL join of two arbitrarily large datasets on an integer key: one
+    co-partition exchange (no broadcast), then ``join_bucket`` per bucket.
+
+    Output: left columns + right columns except ``right_on`` (semi/anti:
+    left columns only); nulls are typed. A NULL key matches nothing.
+    semi/anti ship only each right batch's distinct keys. An empty left
+    that Ray cannot type yields itself (nothing can match) unless
+    ``how="full"``."""
+    if how not in JOIN_KINDS:
+        raise ValueError(f"how must be one of {JOIN_KINDS}, got {how!r}")
+    ltype = _row_type(left)
+    if ltype is None and how != "full":
+        return left
+    rtype = _row_type(right)
+    _validate(ltype, rtype, left_on, right_on,
+              merged=how in ("inner", "left", "full"))
+    if how in ("semi", "anti"):
+        right = right.map_batches(
+            lambda b: pa.table({right_on: pc.unique(b[right_on])}),
+            batch_format="pyarrow")
+        rtype = pa.struct([rtype.field(right_on)])
+    return _cogroup(left, ltype, right, rtype, left_on, right_on,
+                    lambda lt, rt: join_bucket(lt, rt, left_on, right_on, how),
+                    num_buckets)
+
+
+def _int_keys(col) -> tuple[np.ndarray, np.ndarray]:
+    col = pc.cast(col, pa.int64())
+    return (np.asarray(pc.fill_null(col, 0), dtype=np.int64),
+            np.asarray(pc.is_null(col), dtype=bool))
+
+
+def join_bucket(left: pa.Table, right: pa.Table, left_on: str,
+                right_on: str, how: str) -> pa.Table:
+    """One co-partitioned bucket of :func:`bucketed_join`, Ray-free: a
+    vectorized sorted-key range join (stable argsort of the right keys,
+    searchsorted + repeat — no per-row Python). SQL semantics: a NULL key
+    matches nothing; ``left``/``full``/``anti`` keep unmatched (incl.
+    NULL-keyed) left rows, ``full`` also unmatched right rows, with the
+    other side's columns null."""
+    lkeys, lnull = _int_keys(left[left_on])
+    rkeys, rnull = _int_keys(right[right_on])
+    valid = np.flatnonzero(~rnull)
+    order = valid[np.argsort(rkeys[valid], kind="stable")]
+    rk = rkeys[order]
+    lo = np.searchsorted(rk, lkeys, side="left")
+    cnt = np.where(lnull, 0, np.searchsorted(rk, lkeys, side="right") - lo)
+    if how in ("semi", "anti"):
+        return left.filter(pa.array((cnt > 0) == (how == "semi")))
+    rep = cnt if how == "inner" else np.maximum(cnt, 1)  # miss → one row
+    hit = np.repeat(cnt > 0, rep)
+    offs = (np.arange(rep.sum(), dtype=np.int64)
+            - np.repeat(np.cumsum(rep) - rep, rep))
+    # a miss row points nowhere: guard the gather when order is empty
+    rtake = (order[np.where(hit, np.repeat(lo, rep) + offs, 0)] if len(order)
+             else np.zeros(len(hit), np.int64))
+    payload = right.drop_columns([right_on])
+    cols = (left.take(np.repeat(np.arange(left.num_rows), rep)).columns
+            + payload.take(pa.array(rtake, pa.int64(), mask=~hit)).columns)
+    out = pa.Table.from_arrays(cols, names=left.column_names
+                               + payload.column_names)
+    if how != "full":
+        return out
+    r_hit = np.isin(rkeys, lkeys[~lnull]) & ~rnull
+    extra = payload.take(np.flatnonzero(~r_hit))
+    extra = pa.Table.from_arrays(
+        [pa.nulls(extra.num_rows, f.type) for f in left.schema]
+        + extra.columns, names=out.column_names)
+    return pa.concat_tables([out, extra])
 
 
 def stable_str_hash(values) -> np.ndarray:

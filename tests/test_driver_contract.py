@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 import __ray_entry__ as entrymod
+from spel_ray.state.shuffle import bucketed_join
 
 SF = "/root/testdata/sf0.001"
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
@@ -75,13 +76,25 @@ def test_entry_smoke():
     assert set(df.columns) == {"row_id", "cluster_id"}
 
 
+# the former per-kind join entry points, now one bucketed_join
+def anti_join(left, right, left_on, right_on, **kw):
+    return bucketed_join(left, right, left_on, right_on, how="anti", **kw)
+
+
+def semi_join(left, right, left_on, right_on, **kw):
+    return bucketed_join(left, right, left_on, right_on, how="semi", **kw)
+
+
+def left_outer_join(left, right, left_on, right_on, *, full=False, **kw):
+    return bucketed_join(left, right, left_on, right_on,
+                         how="full" if full else "left", **kw)
+
+
 def test_anti_join_edge_cases():
     """Bucketed anti-join: exact NOT EXISTS semantics, incl. the all-matched
     (empty-result) and empty-right edges."""
     import pyarrow as pa
     import ray.data as rd
-
-    from spel_ray.pipelines.relational import anti_join
 
     left = rd.from_arrow(pa.table({
         "k": pa.array([1, 2, 3, 4], pa.int64()),
@@ -105,8 +118,6 @@ def test_join_null_key_semantics():
     import pyarrow as pa
     import ray.data as rd
 
-    from spel_ray.pipelines.relational import anti_join, semi_join
-
     left = rd.from_arrow(pa.table({
         "k": pa.array([1, None, 3], pa.int64()),
         "v": ["a", "b", "c"]}))
@@ -128,7 +139,7 @@ def test_bucket_count_invariance():
     import ray.data as rd
 
     from spel_ray.functions.substring import dedup_repeated_substrings
-    from spel_ray.pipelines.relational import left_outer_join
+    from spel_ray.state.shuffle import cogroup
 
     def canon(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(list(df.columns)).reset_index(drop=True)
@@ -143,6 +154,51 @@ def test_bucket_count_invariance():
     b = canon(left_outer_join(left, right, "k", "rk", full=True,
                               num_buckets=7).to_pandas())
     assert a.equals(b)
+
+    # every join kind and cogroup: identical results at B ∈ {1, 7, 64}
+    def sizes(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        keys = sorted({k for k in lt["k"].to_pylist() + rt["rk"].to_pylist()
+                       if k is not None})
+        return pa.table({
+            "key": pa.array(keys, pa.int64()),
+            "n_left": [lt["k"].to_pylist().count(k) for k in keys],
+            "n_right": [rt["rk"].to_pylist().count(k) for k in keys]})
+
+    for how in ("inner", "left", "full", "semi", "anti"):
+        runs = [canon(bucketed_join(left, right, "k", "rk", how=how,
+                                    num_buckets=nb).to_pandas())
+                for nb in (1, 7, 64)]
+        assert runs[0].equals(runs[1]) and runs[0].equals(runs[2]), how
+    runs = [canon(cogroup(left, right, "k", "rk", sizes,
+                          num_buckets=nb).to_pandas()) for nb in (1, 7, 64)]
+    assert runs[0].equals(runs[1]) and runs[0].equals(runs[2])
+    assert runs[0]["key"].tolist() == [1, 2, 3, 9]
+    assert runs[0]["n_right"].tolist() == [0, 2, 0, 1]
+
+    # an empty side still yields the typed output schema
+    empty_l = rd.from_arrow(pa.table({"k": pa.array([], pa.int64()),
+                                      "v": pa.array([], pa.string())}))
+    empty_r = rd.from_arrow(pa.table({"rk": pa.array([], pa.int64()),
+                                      "w": pa.array([], pa.string())}))
+    payload = ["k", "v", "w"]
+    for how, lhs, rhs, names, n in [
+            ("inner", empty_l, right, payload, 0),
+            ("left", empty_l, right, payload, 0),
+            ("full", empty_l, right, payload, 3),
+            ("semi", empty_l, right, ["k", "v"], 0),
+            ("anti", empty_l, right, ["k", "v"], 0),
+            ("inner", left, empty_r, payload, 0),
+            ("left", left, empty_r, payload, 5),
+            ("full", left, empty_r, payload, 5),
+            ("semi", left, empty_r, ["k", "v"], 0),
+            ("anti", left, empty_r, ["k", "v"], 5)]:
+        for nb in (1, 7, 64):
+            out = bucketed_join(lhs, rhs, "k", "rk", how=how, num_buckets=nb)
+            assert out.schema().names == names, (how, nb)
+            assert out.count() == n, (how, nb)
+    for lhs, rhs in [(empty_l, right), (left, empty_r)]:
+        out = cogroup(lhs, rhs, "k", "rk", sizes, num_buckets=7)
+        assert out.schema().names == ["key", "n_left", "n_right"]
 
     docs = rd.from_arrow(pa.table({
         "doc_id": pa.array(range(6), pa.int64()),
@@ -165,8 +221,6 @@ def test_left_and_full_outer_join_semantics():
     import pyarrow as pa
     import ray.data as rd
 
-    from spel_ray.pipelines.relational import left_outer_join
-
     left = rd.from_arrow(pa.table({
         "k": pa.array([1, None, 3, 4], pa.int64()),
         "v": ["a", "b", "c", "d"]}))
@@ -186,3 +240,67 @@ def test_left_and_full_outer_join_semantics():
     right_only = fj[fj["v"].isna()]
     assert sorted(right_only["w"]) == ["q", "z"]
     assert right_only["k"].isna().all()
+
+
+def _join_sides():
+    import pyarrow as pa
+    import ray.data as rd
+
+    left = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64()),
+                                   "v": ["a", "b"]}))
+    right = rd.from_arrow(pa.table({"rk": pa.array([2], pa.int64()),
+                                    "w": ["x"]}))
+    return left, right
+
+
+def test_join_rejects_reserved_column():
+    """A payload column named like the exchange's own wire columns fails
+    loudly, naming the column — for cogroup and every join kind."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from spel_ray.state.shuffle import cogroup
+
+    left, right = _join_sides()
+    bad = rd.from_arrow(pa.table({"k": pa.array([1], pa.int64()),
+                                  "_key": pa.array([7], pa.int64())}))
+    with pytest.raises(ValueError, match="'_key' is reserved"):
+        cogroup(bad, right, "k", "rk", lambda lt, rt: lt, num_buckets=2)
+    for how in ("inner", "semi"):
+        with pytest.raises(ValueError, match="'_key' is reserved"):
+            bucketed_join(bad, right, "k", "rk", how=how, num_buckets=2)
+
+
+def test_join_rejects_overlapping_output_columns():
+    """Joins that put both sides' columns side by side refuse a column
+    present on both (the right key itself is dropped, so it may repeat)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    left, _ = _join_sides()
+    right = rd.from_arrow(pa.table({"k": pa.array([2], pa.int64()),
+                                    "v": ["x"]}))
+    for how in ("inner", "left", "full"):
+        with pytest.raises(ValueError, match=r"overlap: \['v'\]"):
+            bucketed_join(left, right, "k", "k", how=how, num_buckets=2)
+    # semi/anti output only the left columns: no overlap possible
+    assert bucketed_join(left, right, "k", "k", how="semi",
+                         num_buckets=2).count() == 1
+
+
+def test_join_rejects_non_integer_key():
+    """The co-partition key must be integer-typed, on either side."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from spel_ray.state.shuffle import cogroup
+
+    left, right = _join_sides()
+    with pytest.raises(ValueError, match="left key 'v' must be integer"):
+        bucketed_join(left, right, "v", "rk", how="left", num_buckets=2)
+    str_right = rd.from_arrow(pa.table({"rk": ["2"]}))
+    with pytest.raises(ValueError, match="right key 'rk' must be integer"):
+        cogroup(left, str_right, "k", "rk", lambda lt, rt: lt,
+                num_buckets=2)
+    with pytest.raises(ValueError, match="how must be one of"):
+        bucketed_join(left, right, "k", "rk", how="cross", num_buckets=2)

@@ -28,65 +28,57 @@ def join_tables(draw):
     return lk, rk
 
 
-def _sql_outer_join_expected(lk, rk, full):
-    """Independent SQL-semantics model: NULL keys match nothing; every
-    left row survives; with full, every unmatched right row survives."""
+def _sql_join_expected(lk, rk, how):
+    """Independent nested-loop SQL model: NULL keys match nothing; inner
+    keeps matches; left/full keep every left row (null-extended on a miss);
+    full also keeps every unmatched right row; semi/anti keep the left rows
+    that EXIST / do NOT EXIST in the right."""
     rows = []
     r_used = [False] * len(rk)
     for i, k in enumerate(lk):
-        hit = False
-        if k is not None:
-            for j, r in enumerate(rk):
-                if r == k:
-                    rows.append((k, i, r, j))
-                    r_used[j] = True
-                    hit = True
-        if not hit:
+        hits = [j for j, r in enumerate(rk) if k is not None and r == k]
+        for j in hits:
+            r_used[j] = True
+        if how in ("semi", "anti"):
+            if bool(hits) == (how == "semi"):
+                rows.append((k, i, None, None))
+            continue
+        rows.extend((k, i, rk[j], j) for j in hits)
+        if not hits and how != "inner":
             rows.append((k, i, None, None))
-    if full:
-        for j, r in enumerate(rk):
-            if not r_used[j]:
-                rows.append((None, None, r, j))
+    if how == "full":
+        rows.extend((None, None, r, j) for j, r in enumerate(rk)
+                    if not r_used[j])
     return sorted(rows, key=lambda x: tuple(-1 if v is None else v
                                             for v in x))
 
 
 @settings(max_examples=60, deadline=None)
-@given(join_tables(), st.booleans())
-def test_outer_join_bucket_matches_sql_semantics(tables, full):
-    """The per-bucket outer-join kernel must reproduce SQL LEFT/FULL JOIN
-    on arbitrary duplicate/null-laden key multisets (single bucket = the
-    whole relation; bucketing only partitions by key hash)."""
+@given(join_tables(), st.sampled_from(["inner", "left", "full", "semi",
+                                       "anti"]))
+def test_outer_join_bucket_matches_sql_semantics(tables, how):
+    """The per-bucket join kernel must reproduce SQL INNER/LEFT/FULL JOIN
+    and EXISTS/NOT EXISTS on arbitrary duplicate/null-laden key multisets
+    (single bucket = the whole relation; bucketing only partitions by key
+    hash)."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
-    from spel_ray.pipelines.relational import _outer_join_bucket
+    from spel_ray.state.shuffle import join_bucket
 
     lk, rk = tables
-    left_cols, right_cols = ["k", "v"], ["w"]
-    left_types = {"k": pa.int64(), "v": pa.int64()}
-
-    def tag(keys, side):
-        n = len(keys)
-        karr = pa.array(keys, pa.int64())
-        return pa.table({
-            "_key": karr,
-            "_side": pa.array([side] * n, pa.int8()),
-            "k": karr if side == 0 else pa.nulls(n, pa.int64()),
-            "v": (pa.array(list(range(n)), pa.int64()) if side == 0
-                  else pa.nulls(n, pa.int64())),
-            "w": (pa.array(list(range(n)), pa.int64()) if side == 1
-                  else pa.nulls(n, pa.int64())),
-        })
-
-    t = pa.concat_tables([tag(lk, 0), tag(rk, 1)])
-    out = _outer_join_bucket(t, left_cols, right_cols, left_types, full)
+    left = pa.table({"k": pa.array(lk, pa.int64()),
+                     "v": pa.array(range(len(lk)), pa.int64())})
+    right = pa.table({"rk": pa.array(rk, pa.int64()),
+                      "w": pa.array(range(len(rk)), pa.int64())})
+    out = join_bucket(left, right, "k", "rk", how)
+    want_cols = ["k", "v"] if how in ("semi", "anti") else ["k", "v", "w"]
+    assert out.column_names == want_cols
+    w = (out["w"].to_pylist() if "w" in out.column_names
+         else [None] * out.num_rows)
     got = sorted(zip(out["k"].to_pylist(), out["v"].to_pylist(),
-                     [None if w is None else rk[w]
-                      for w in out["w"].to_pylist()],
-                     out["w"].to_pylist()),
+                     [None if j is None else rk[j] for j in w], w),
                  key=lambda x: tuple(-1 if v is None else v for v in x))
-    assert got == _sql_outer_join_expected(lk, rk, full)
+    assert got == _sql_join_expected(lk, rk, how)
 
 
 @st.composite

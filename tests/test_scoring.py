@@ -8,8 +8,8 @@ import ray.data as rd
 
 from spel_ray.config import LinkageConfig
 from spel_ray.stages.scoring import (
-    BorderlineVerifier, _bucketed_content_join, score_pair_arrays,
-    verify_borderline)
+    BorderlineVerifier, score_pair_arrays, verify_borderline)
+from spel_ray.state.shuffle import bucketed_join
 
 CFG = LinkageConfig()
 
@@ -74,8 +74,9 @@ def test_bucketed_content_join_resolves_and_keeps_misses():
         "row_id": pa.array([11, 12], pa.int64()),
         "norm_content": pa.array(["aaa", "bbb"], pa.string()),
     }))
-    out = _bucketed_content_join(left, records, "id_lo", "content_lo",
-                                 4).to_pandas().set_index("id_lo")
+    content = records.rename_columns({"norm_content": "content_lo"})
+    out = bucketed_join(left, content, "id_lo", "row_id", how="left",
+                        num_buckets=4).to_pandas().set_index("id_lo")
     assert out.loc[11, "content_lo"] == "aaa"
     assert out.loc[12, "content_lo"] == "bbb"
     assert pd.isna(out.loc[99, "content_lo"])  # miss kept, null content

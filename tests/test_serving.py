@@ -2,6 +2,7 @@
 
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray
 import ray.data as rd
 
@@ -280,3 +281,16 @@ def test_index_add_is_an_upsert():
     idx.add(update.slice(0, 0), compact_ratio=0.0)   # force compaction
     hits2 = idx.link("import sys\nmain()", "python", k=5)
     assert [h["row_id"] for h in hits2] == row_ids
+
+
+def test_link_many_rejects_a_dropped_query_row(monkeypatch):
+    """A fingerprint pass that loses a query row must fail loudly (even
+    under ``python -O``), not hand that query an empty hit list."""
+    import spel_ray.serving as serving
+
+    idx = LinkageIndex.build(_corpus(), LinkageConfig())
+    real = serving.fingerprint_batch
+    monkeypatch.setattr(serving, "fingerprint_batch",
+                        lambda t, **kw: real(t, **kw).slice(1))
+    with pytest.raises(RuntimeError, match="2 rows for 3 queries"):
+        idx.link_many(["a = 1", "b = 2", "c = 3"], ["python"] * 3)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
+from spel_ray.functions import similarity
 from spel_ray.functions.similarity import (
-    ann_topk_bruteforce, ann_topk_ivf, ann_topk_lsh, train_ivf_centroids)
+    ann_topk_bruteforce, ann_topk_ivf, ann_topk_lsh, embeddings,
+    train_ivf_centroids)
 
 
 def _corpus(n=200, dim=16, seed=5):
@@ -100,3 +103,58 @@ def test_ann_recall_gates():
     # after a testdata regeneration, demote that oracle entry to rows-only.
     assert (lsh["recall"] == 1.0).all(), lsh
     assert ivf["recall"].min() >= 0.9, ivf
+
+
+def test_embeddings_decode_flat_and_rejects_ragged():
+    """list<float> → (n, dim) float64 in one flatten + reshape; a sliced
+    column decodes its own rows; ragged or null rows raise."""
+    col = pa.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+                   pa.list_(pa.float32()))
+    assert embeddings(col.slice(1)).tolist() == [[3.0, 4.0], [5.0, 6.0]]
+    assert embeddings(col).dtype == np.float64
+    fixed = pa.array([[1.0, 2.0]], pa.list_(pa.float64(), 2))
+    assert embeddings(fixed).shape == (1, 2)
+    assert embeddings(pa.array([], pa.list_(pa.float32()))).shape == (0, 0)
+    for bad in ([[1.0, 2.0], [3.0]], [[1.0, 2.0], None]):
+        with pytest.raises(ValueError, match="one length"):
+            embeddings(pa.array(bad, pa.list_(pa.float32())))
+
+
+def test_partial_topk_bounds_collected_rows(monkeypatch):
+    """Every ANN path cuts each batch to per-query top-k before the driver
+    collect: collected partial rows <= batches x queries x k."""
+    n, n_q, k = 3000, 6, 4
+    ds, m = _corpus(n=n, dim=16)
+    q = m[:n_q]
+    seen = []
+    real = similarity._merge_topk
+
+    def spy(parts, query_ids, k_):
+        seen.append(parts.num_rows)
+        return real(parts, query_ids, k_)
+
+    monkeypatch.setattr(similarity, "_merge_topk", spy)
+    exact = ann_topk_bruteforce(ds, q, np.arange(n_q), k=k, batch_size=1000)
+    ann_topk_ivf(ds, q, np.arange(n_q), k=k, n_centroids=8, nprobe=8)
+    ann_topk_lsh(ds, q, np.arange(n_q), k=k, n_planes=2, n_tables=4)
+    # brute force: 3 batches of 1000; IVF/LSH: one 4096-row batch
+    assert seen[0] <= 3 * n_q * k
+    assert seen[1] <= 1 * n_q * k and seen[2] <= 1 * n_q * k
+    assert (exact.groupby("query_id").size() == k).all()
+
+
+def test_ann_empty_corpus_and_candidate_free_batches():
+    """No corpus rows, or batches whose buckets meet no query, give the
+    typed (query_id, vec_id, cosine, rank) frame, never a crash."""
+    _, m = _corpus(n=50)
+    empty = rd.from_arrow(pa.table({
+        "vec_id": pa.array([], pa.int64()),
+        "embedding": pa.array([], pa.list_(pa.float32()))}))
+    cols = ["query_id", "vec_id", "cosine", "rank"]
+    for out in (ann_topk_bruteforce(empty, m[:2], np.arange(2)),
+                ann_topk_lsh(empty, m[:2], np.arange(2))):
+        assert list(out.columns) == cols and out.empty
+    ds, _ = _corpus(n=50, seed=9)
+    out = ann_topk_lsh(ds, -m[:2], np.arange(2), n_planes=16, n_tables=1)
+    assert list(out.columns) == cols
+    assert out["rank"].between(1, 10).all()
