@@ -242,7 +242,15 @@ def unigram_logppl(ds: ray.data.Dataset, *, vocab_size: int = 1000,
     ``ray.put``, and (3) one ``map_batches`` pass scores every document
     with a C-level dict map + segment bincount — no per-token Python in
     the hot loop. DuckDB ln and Python math.log share libm, so the oracle
-    is value-exact at the rounded precision."""
+    is value-exact at the rounded precision.
+
+    Residual risk: the per-document sum runs in ``np.bincount`` order,
+    DuckDB's ``SUM`` in its own order, and the two can differ in the last
+    ulp. The 5-decimal rounding hides that unless a document's mean lands
+    within an ulp of a half-way point between two 5-decimal values; there
+    the two sides round apart and the driver's hash check fails. The
+    registry corpus has no such document (its row is hash-green), and the
+    gate stays exact rather than tolerant."""
     vocab = token_vocab(ds, top_k=vocab_size, text_col=text_col,
                         num_buckets=num_buckets)
 

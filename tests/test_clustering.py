@@ -81,3 +81,20 @@ def test_empty_edges():
     recs = rd.from_pandas(pd.DataFrame({"row_id": [5, 6]}))
     out = assign_clusters(recs, star, num_buckets=4).to_pandas()
     assert dict(zip(out["row_id"], out["cluster_id"])) == {5: 5, 6: 6}
+
+
+def test_assign_clusters_over_no_edges_is_typed():
+    """Over an empty star-edge set every record labels itself and the
+    output is (row_id int64, cluster_id int64)."""
+    import pyarrow as pa
+
+    edges = rd.from_pandas(pd.DataFrame({"lo": pd.Series(dtype="int64"),
+                                         "hi": pd.Series(dtype="int64")}))
+    star = connected_components(edges, num_buckets=4)
+    recs = rd.from_pandas(pd.DataFrame({"row_id": [5, 6]}))
+    out = assign_clusters(recs, star, num_buckets=8)
+    sch = out.schema()
+    assert list(zip(sch.names, sch.types)) == [("row_id", pa.int64()),
+                                               ("cluster_id", pa.int64())]
+    assert sorted((r["row_id"], r["cluster_id"]) for r in out.take_all()) \
+        == [(5, 5), (6, 6)]

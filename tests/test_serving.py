@@ -64,17 +64,7 @@ def test_serving_actor_roundtrip():
     cfg = LinkageConfig()
     idx = LinkageIndex.build(_corpus(), cfg)
     # re-wrap the already-collected block rows in an actor replica
-    tbl = pa.table({
-        "block_key": pa.array(idx._keys, pa.int64()),
-        "row_id": pa.array(idx._row_id, pa.int64()),
-        "sig": pa.array([idx._sig[i].tobytes() for i in range(len(idx._sig))],
-                        pa.binary(cfg.num_perm * cfg.sig_bytes)),
-        "sig_tok": pa.array([idx._sig_tok[i].tobytes()
-                             for i in range(len(idx._sig_tok))],
-                            pa.binary(cfg.num_perm_tok * cfg.sig_bytes)),
-        "n_chars": pa.array(idx._n_chars, pa.int64()),
-        "sha16": pa.array([bytes(x) for x in idx._sha16], pa.binary(16)),
-    })
+    tbl = idx._to_rows()
     Server = serving_actor(num_cpus=0.5)
     srv = Server.remote(cfg, tbl)
     near = ("def load_records(path, schema):\n"
@@ -294,3 +284,164 @@ def test_link_many_rejects_a_dropped_query_row(monkeypatch):
                         lambda t, **kw: real(t, **kw).slice(1))
     with pytest.raises(RuntimeError, match="2 rows for 3 queries"):
         idx.link_many(["a = 1", "b = 2", "c = 3"], ["python"] * 3)
+
+
+# ------------------------------------------------- upserts, Ray-free index
+def _index_of(cfg, table: pa.Table) -> LinkageIndex:
+    """A LinkageIndex over a code table, sketched in-process through the
+    same stages as ``LinkageIndex.build`` (and as ``add``)."""
+    from spel_ray.stages.blocking import BlockKeyExploder
+    from spel_ray.stages.fingerprint import fingerprint_batch
+    from spel_ray.stages.minhash import MinHasher
+
+    rows = BlockKeyExploder(cfg)(MinHasher(cfg)(fingerprint_batch(
+        table, strip_comments=cfg.strip_comments)))
+    return LinkageIndex(cfg, rows)
+
+
+def _synth400():
+    from spel_ray.sources.synth import generate_code_table
+
+    return generate_code_table(400, seed=3).drop_columns(["ancestor_id"])
+
+
+def _edited(t: pa.Table, tag: str) -> pa.Table:
+    """The same (repo, path, commit) rows with new content."""
+    content = [f"{c}\n# edit {tag} {i}"
+               for i, c in enumerate(t["content"].to_pylist())]
+    return t.set_column(t.column_names.index("content"), "content",
+                        pa.array(content, pa.string()))
+
+
+def test_index_upserts_match_a_rebuild_at_every_step():
+    """Seeded interleaving of upserts that hit main, re-upserts that hit
+    the delta, a never-seen row, an empty add and a forced compaction:
+    after every step the live index answers exactly like an index rebuilt
+    from the current corpus — including probes with superseded content."""
+    import numpy as np
+
+    cfg = LinkageConfig()
+    t = _synth400()
+    rng = np.random.default_rng(5)
+    corpus = t.slice(0, 350)
+    idx = _index_of(cfg, corpus)
+    key = list(zip(*(corpus[c].to_pylist()
+                     for c in ("repo", "path", "commit"))))
+    seen = list(corpus["content"].to_pylist())     # every version ever
+
+    def upsert(rows: pa.Table, ratio: float) -> None:
+        nonlocal corpus
+        idx.add(rows, compact_ratio=ratio)
+        cur = corpus.to_pylist()
+        where = {k: i for i, k in enumerate(key)}
+        for r in rows.to_pylist():
+            k = (r["repo"], r["path"], r["commit"])
+            if k in where:
+                cur[where[k]] = r
+            else:
+                key.append(k)
+                cur.append(r)
+        corpus = pa.Table.from_pylist(cur, schema=t.schema)
+        seen.extend(rows["content"].to_pylist())
+
+    def take(n: int) -> pa.Table:
+        return corpus.take(pa.array(rng.choice(corpus.num_rows, n,
+                                               replace=False)))
+
+    main_hit = _edited(take(12), "a")
+    steps = [
+        ("upsert hitting main", lambda: upsert(main_hit, 10.0)),
+        ("re-upsert hitting the delta",
+         lambda: upsert(_edited(main_hit.slice(0, 6), "b"), 10.0)),
+        ("never-seen row", lambda: upsert(t.slice(380, 1), 10.0)),
+        ("empty add", lambda: upsert(t.slice(0, 0), 10.0)),
+        ("mixed upsert", lambda: upsert(pa.concat_tables(
+            [_edited(take(8), "c"), t.slice(350, 10)]), 10.0)),
+        ("forced compaction", lambda: upsert(_edited(take(4), "d"), 0.0)),
+        ("upsert hitting the compacted main",
+         lambda: upsert(_edited(take(10), "e"), 10.0)),
+    ]
+    n_hits = 0
+    for name, step in steps:
+        step()
+        if name == "forced compaction":
+            assert idx._delta is None and idx._alive.all()
+        probes = [seen[i] for i in rng.choice(len(seen), 40, replace=False)]
+        probes += seen[-20:] + ["unrelated gardening prose, zero overlap"]
+        langs = ["python"] * len(probes)
+        want = _index_of(cfg, corpus).link_many(probes, langs, k=5)
+        assert idx.link_many(probes, langs, k=5) == want, name
+        n_hits += sum(len(h) for h in want)
+    assert n_hits > 0
+
+
+def test_index_upsert_does_not_rebuild_main(monkeypatch):
+    """An upsert that supersedes main rows flips their deletion-vector bits
+    instead of rebuilding main."""
+    import numpy as np
+
+    cfg = LinkageConfig()
+    t = _synth400().slice(0, 200)
+    idx = _index_of(cfg, t)
+    loads = []
+    real = idx._load
+    monkeypatch.setattr(idx, "_load", lambda rows: (loads.append(rows),
+                                                    real(rows)))
+    n_main = len(idx._keys)
+    idx.add(_edited(t.slice(0, 8), "a"), compact_ratio=10.0)
+    idx.add(_edited(t.slice(8, 8), "b"), compact_ratio=10.0)
+    assert loads == [], "an upsert rebuilt the main index"
+    assert len(idx._keys) == n_main
+    dead = idx._row_id[~idx._alive]
+    assert len(dead) and set(np.unique(dead)) <= set(
+        np.asarray(idx._delta._row_id).tolist())
+
+
+def test_index_with_dead_rows_equals_its_live_rows():
+    """After kills, an index rebuilt from ``_to_rows()`` (live rows only)
+    answers exactly like the index carrying the dead rows."""
+    import numpy as np
+
+    cfg = LinkageConfig()
+    t = _synth400().slice(0, 300)
+    idx = _index_of(cfg, t)
+    victims = np.unique(idx._row_id)[::7]
+    idx._drop_row_ids(victims)
+    rebuilt = LinkageIndex(cfg, idx._to_rows())
+    assert len(rebuilt._keys) == int(idx._alive.sum()) < len(idx._keys)
+    probes = t["content"].to_pylist()[:60]
+    langs = t["lang"].to_pylist()[:60]
+    got = idx.link_many(probes, langs, k=5)
+    assert got == rebuilt.link_many(probes, langs, k=5)
+    served = {h["row_id"] for hits in got for h in hits}
+    assert served and not served & set(victims.tolist())
+
+
+def test_index_probe_misses_return_nothing():
+    """Probe keys with no match, a key above the largest indexed key, a
+    key below the smallest, and an empty index all return [] — even at
+    score threshold 0, where any colocated row would be a hit."""
+    import numpy as np
+
+    from spel_ray.serving import _empty_block_rows, _features
+
+    cfg = LinkageConfig()
+    t = _synth400().slice(0, 100)
+    idx = _index_of(cfg, t)
+    feats = _features(_index_of(cfg, t.slice(0, 1))._to_rows(), cfg)
+    assert idx._hits_from_features(feats, 0.0, 5)    # the real keys hit
+    # the one-step range gather equals a per-key scan, dead rows skipped
+    idx._drop_row_ids(np.unique(idx._row_id)[::3])
+    probe = np.r_[feats["block_key"], idx._keys[::50]]
+    want = sorted({int(p) for b in probe
+                   for p in np.flatnonzero((idx._keys == b) & idx._alive)})
+    assert idx._live_positions(probe).tolist() == want and want
+    keys = idx._ukeys
+    gaps = np.flatnonzero(np.diff(keys) > 1)
+    for probe in ([keys[gaps[0]] + 1], [keys[-1] + 1], [keys[0] - 1],
+                  [np.iinfo(np.int64).max], []):
+        miss = {**feats, "block_key": np.asarray(probe, np.int64)}
+        assert idx._hits_from_features(miss, 0.0, 5) == [], probe
+    empty = LinkageIndex(cfg, _empty_block_rows(cfg))
+    assert empty._hits_from_features(feats, 0.0, 5) == []
+    assert empty.link_many(t["content"].to_pylist()[:3]) == [[], [], []]
