@@ -68,41 +68,18 @@ def minhash_dedup(ds: ray.data.Dataset, cfg: LinkageConfig | None = None,
                   text_col: str = "text", id_col: str = "doc_id",
                   *, num_buckets: int = 32) -> ray.data.Dataset:
     """Near-dup clusters over a documents-like table: returns
-    (doc_id, cluster_id) reusing the linkage pipeline's stages."""
-    import pyarrow.compute as pc
-
-    from spel_ray.stages.blocking import block_keys
-    from spel_ray.stages.clustering import assign_clusters, connected_components
-    from spel_ray.stages.fingerprint import _norm_ws
-    from spel_ray.stages.pairs import scored_candidate_pairs
-    from spel_ray.stages.scoring import edges_from_pairs
+    (doc_id, cluster_id) from the linkage chain's head and tail."""
+    from spel_ray.pipelines.linkage import (empty_clusters, link_head,
+                                            link_tail, pin_at)
 
     cfg = cfg or LinkageConfig(use_verifier=False)
-
-    def adapt(batch: pa.Table) -> pa.Table:
-        texts = batch[text_col]
-        shas = [hashlib.sha256((t or "").encode()).hexdigest()
-                for t in texts.to_pylist()]
-        return pa.table({
-            "row_id": batch[id_col],
-            "lang": pa.array(["txt"] * batch.num_rows, pa.string()),
-            "content_sha256": pa.array(shas, pa.string()),
-            "norm_content": _norm_ws(texts),
-            "n_chars": pc.cast(pc.utf8_length(texts), pa.int64()),
-        })
-
-    records = ds.map_batches(adapt, batch_format="pyarrow")
-    blocks = block_keys(records, cfg)
-    pairs = scored_candidate_pairs(blocks, cfg, num_buckets=num_buckets)
-    edges = edges_from_pairs(pairs, cfg)
-    star = connected_components(edges, num_buckets=num_buckets)
-    clusters = assign_clusters(records, star, num_buckets=num_buckets)
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns([id_col if c == "row_id" else c
-                                     for c in batch.column_names])
-
-    return clusters.map_batches(rename, batch_format="pyarrow")
+    records, blocks = link_head(ds, cfg, text=(text_col, id_col, "txt"))
+    clusters = link_tail(records, blocks, records, cfg,
+                         num_buckets=num_buckets,
+                         stage=pin_at("clusters")).clusters
+    if clusters.count() == 0:       # free: the clusters are pinned
+        return empty_clusters(id_col)
+    return clusters.rename_columns({"row_id": id_col})
 
 
 # ------------------------------------------------------------------ simhash

@@ -4,15 +4,15 @@ clustered corpus without re-scoring old-old pairs.
 The recurring-ingest shape of a training-data pipeline (daily crawl deltas
 against a petabyte corpus): the previous run's block rows and clusters are
 the carried state (both already checkpointed by ``run_linkage``'s
-``checkpoint_dir``), the increment is sketched/blocked fresh, and pair
-generation only scores pairs touching at least one NEW row — the old-old
+``checkpoint_dir``), the increment runs the chain's head, and the chain's
+tail then scores only pairs touching at least one NEW row — the old-old
 verdicts are already encoded as cluster membership edges:
 
-    new blocks  = fingerprint + block_keys(increment)
+    new blocks  = link_head(increment): fingerprint + block_keys
     all blocks  = prev blocks (is_new=False) ∪ new blocks (is_new=True)
-    pairs       = bucketed pair-gen, old-old pairs skipped
-    edges       = thresholded new edges ∪ prev membership edges
-    clusters    = connected components + min-label assignment
+    link_tail   = bucketed pair-gen (old-old pairs skipped)
+                  → thresholded new edges ∪ prev membership edges
+                  → connected components + min-label assignment
 
 Semantics note (documented approximation): inside a hot block over the cap,
 the connectivity chain is computed over the merged membership, so old-old
@@ -28,12 +28,8 @@ import pyarrow as pa
 import ray.data
 
 from spel_ray.config import LinkageConfig
-from spel_ray.pipelines.linkage import LinkageResult
-from spel_ray.stages.blocking import block_keys
-from spel_ray.stages.clustering import assign_clusters, connected_components
-from spel_ray.stages.fingerprint import fingerprint
-from spel_ray.stages.pairs import scored_candidate_pairs
-from spel_ray.stages.scoring import edges_from_pairs
+from spel_ray.pipelines.linkage import (LinkageResult, link_head, link_tail,
+                                        pin_at)
 
 
 def _tag(ds: ray.data.Dataset, flag: bool) -> ray.data.Dataset:
@@ -55,9 +51,8 @@ def incremental_link(new_ds: ray.data.Dataset,
     Returns a LinkageResult whose ``clusters`` covers old ∪ new rows."""
     cfg = cfg or LinkageConfig()
 
-    new_records = fingerprint(new_ds, batch_size=cfg.batch_size,
-                              strip_comments=cfg.strip_comments)
-    new_blocks = _tag(block_keys(new_records, cfg), True)
+    new_records, new_blocks = link_head(new_ds, cfg)
+    new_blocks = _tag(new_blocks, True)
     old_blocks = _tag(prev_blocks, False)
     # align column order for the union (prev blocks always have a schema;
     # an EMPTY increment leaves new_blocks schema-less)
@@ -68,21 +63,10 @@ def incremental_link(new_ds: ray.data.Dataset,
         all_blocks = old_blocks.select_columns(cols).union(
             new_blocks.select_columns(cols))
 
-    pairs = scored_candidate_pairs(all_blocks, cfg,
-                                   num_buckets=num_buckets).materialize()
-    new_edges = edges_from_pairs(pairs, cfg)
-
     def membership(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         t = batch.filter(pc.not_equal(batch["row_id"], batch["cluster_id"]))
         return pa.table({"lo": t["cluster_id"], "hi": t["row_id"]})
-
-    prev_edges = prev_clusters.map_batches(membership, batch_format="pyarrow")
-    edges = new_edges.union(prev_edges).materialize()
-
-    star = connected_components(edges, num_buckets=num_buckets,
-                                max_rounds=cfg.max_cc_rounds,
-                                driver_threshold=cfg.cc_driver_threshold)
 
     def ids_only(batch: pa.Table) -> pa.Table:
         return pa.table({"row_id": batch["row_id"]})
@@ -90,7 +74,8 @@ def incremental_link(new_ds: ray.data.Dataset,
     all_ids = prev_clusters.map_batches(ids_only, batch_format="pyarrow") \
         .union(new_records.select_columns(["row_id"]).map_batches(
             ids_only, batch_format="pyarrow"))
-    clusters = assign_clusters(all_ids, star,
-                               num_buckets=num_buckets).materialize()
-    return LinkageResult(records=new_records, pairs=pairs, edges=edges,
-                         clusters=clusters)
+    return link_tail(
+        new_records, all_blocks, all_ids, cfg, num_buckets=num_buckets,
+        stage=pin_at("pairs", "edges", "clusters"),
+        prior_edges=prev_clusters.map_batches(membership,
+                                              batch_format="pyarrow"))

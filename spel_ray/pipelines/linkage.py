@@ -16,18 +16,28 @@ as Ray-Data stages:
 
 Every stage streams; nothing materializes the full input except the edge set
 inside the fixpoint loop (edges ≪ input).
+
+The chain is written once, as :func:`link_head` (fingerprint → block rows)
+and :func:`link_tail` (pairs → edges → components → assignment). Every entry
+point runs it — ``run_linkage``, ``run_linkage_sharded``,
+``incremental_link``, ``minhash_dedup``, the serving index builds and
+``chunk_level_pairs`` (head only) — and differs only in its stage runner:
+lazy, pinned at chosen stages, or checkpointed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
+import pyarrow as pa
 import ray.data
 
 from spel_ray.config import LinkageConfig
-from spel_ray.stages.blocking import block_keys
+from spel_ray.stages.blocking import block_keys, elect_band_carriers
 from spel_ray.stages.clustering import assign_clusters, connected_components
-from spel_ray.stages.fingerprint import fingerprint
+from spel_ray.stages.fingerprint import (fingerprint, row_ids,
+                                         text_record_batch)
 from spel_ray.stages.pairs import scored_candidate_pairs
 from spel_ray.stages.scoring import edges_from_pairs, verify_borderline
 
@@ -41,6 +51,79 @@ class LinkageResult:
     stats: dict = field(default_factory=dict)
 
 
+# A stage runner ``stage(name, fn) -> Dataset`` decides what happens at each
+# named step of the chain: compute in place, pin, or checkpoint
+# (``CheckpointedRun.run_stage``). The chain itself is written once below.
+def pin_at(*names: str):
+    """Runner that materializes the named stages — the points where a result
+    has several consumers and must run exactly once — and leaves the rest
+    lazy."""
+    def run(name: str, fn) -> ray.data.Dataset:
+        ds = fn()
+        return ds.materialize() if name in names else ds
+    return run
+
+
+def empty_clusters(id_col: str = "row_id") -> ray.data.Dataset:
+    """Typed 0-row (id_col, cluster_id) — what clustering no records gives."""
+    return ray.data.from_arrow(pa.table({id_col: pa.array([], pa.int64()),
+                                         "cluster_id": pa.array([], pa.int64())}))
+
+
+def link_head(ds: ray.data.Dataset, cfg: LinkageConfig, *, stage=pin_at(),
+              elect=None, text: tuple[str, str, str] | None = None):
+    """The chain's head: fingerprint → block rows. Returns (records, blocks).
+
+    ``text=(text_col, id_col, lang)`` fingerprints plain text
+    (:func:`text_record_batch`) instead of a code table. ``elect``:
+    records → band-carrier ref (``elect_band_carriers``), called only when
+    block rows are computed, so a resume past ``block_keys`` skips the
+    election's corpus pass."""
+    def fp():
+        if text is None:
+            return fingerprint(ds, batch_size=cfg.batch_size,
+                               strip_comments=cfg.strip_comments)
+        return ds.map_batches(text_record_batch, batch_format="pyarrow",
+                              fn_args=text)
+
+    records = stage("fingerprint", fp)
+    blocks = stage("block_keys", lambda: block_keys(
+        records, cfg, carriers_ref=elect(records) if elect else None))
+    return records, blocks
+
+
+def link_tail(records: ray.data.Dataset, blocks: ray.data.Dataset,
+              ids: ray.data.Dataset, cfg: LinkageConfig, *, num_buckets: int,
+              stage=pin_at(), verify: bool = False,
+              prior_edges: ray.data.Dataset | None = None) -> LinkageResult:
+    """The chain's tail: block rows → scored pairs (→ borderline verify
+    against ``records``) → threshold edges (∪ ``prior_edges``) → connected
+    components → min-label clusters over ``ids`` (row_id …).
+
+    Clusters over no ids come back typed (row_id, cluster_id int64); the
+    check reads a schema that is free on pinned or checkpointed data."""
+    pairs = stage("pairs", lambda: scored_candidate_pairs(
+        blocks, cfg, num_buckets=num_buckets))
+    if verify:
+        pairs = stage("verify", lambda: verify_borderline(
+            pairs, records, cfg, num_buckets=max(8, num_buckets // 2)))
+
+    def edges_fn():
+        edges = edges_from_pairs(pairs, cfg)
+        return edges if prior_edges is None else edges.union(prior_edges)
+
+    edges = stage("edges", edges_fn)
+    star = stage("components", lambda: connected_components(
+        edges, num_buckets=num_buckets, max_rounds=cfg.max_cc_rounds,
+        driver_threshold=cfg.cc_driver_threshold))
+    clusters = stage("clusters", lambda: assign_clusters(
+        ids, star, num_buckets=num_buckets))
+    if clusters.schema(fetch_if_missing=False) is None:
+        clusters = empty_clusters()
+    return LinkageResult(records=records, pairs=pairs, edges=edges,
+                         clusters=clusters)
+
+
 def run_linkage(ds: ray.data.Dataset, cfg: LinkageConfig | None = None,
                 *, num_buckets: int = 64,
                 checkpoint_dir: str | None = None) -> LinkageResult:
@@ -51,64 +134,31 @@ def run_linkage(ds: ray.data.Dataset, cfg: LinkageConfig | None = None,
     a manifest and a rerun resumes from the last complete stage
     (see state/checkpoint.py)."""
     cfg = cfg or LinkageConfig()
-
+    # the verifier's content join probes records twice — pin once instead of
+    # re-reading + re-hashing per consumer. Without the verifier the default
+    # path never pins content: blocking consumes records as one stream and
+    # assignment re-derives the (cheap) id pass.
+    pin_records = cfg.use_verifier and cfg.pin_records
     if checkpoint_dir is not None:
         from spel_ray.state.checkpoint import CheckpointedRun
-        ckpt = CheckpointedRun(checkpoint_dir, cfg)
+        stage = CheckpointedRun(checkpoint_dir, cfg).run_stage
     else:
-        ckpt = None
-
-    def stage(name, fn):
-        if ckpt is None:
-            return fn()
-        return ckpt.run_stage(name, fn)
-
-    records = stage("fingerprint", lambda: fingerprint(
-        ds, batch_size=cfg.batch_size, strip_comments=cfg.strip_comments))
-    if ckpt is None and cfg.use_verifier and cfg.pin_records:
-        # the verifier's content join probes records twice — pin once instead
-        # of re-reading + re-hashing per consumer. Without the verifier the
-        # default path never pins content: blocking consumes records as one
-        # stream and assignment re-derives the (cheap) id pass.
-        records = records.materialize()
-    carriers_ref = None
-    if cfg.suppress_dup_bands:
-        from spel_ray.stages.blocking import elect_band_carriers
-        carriers_ref = elect_band_carriers(records, cfg,
-                                           num_buckets=max(8, num_buckets // 2))
-    blocks = stage("block_keys", lambda: block_keys(records, cfg,
-                                                    carriers_ref=carriers_ref))
-    pairs = stage("pairs", lambda: scored_candidate_pairs(
-        blocks, cfg, num_buckets=num_buckets))
-    # The merged pair set has several consumers (edges, evaluation, optional
-    # verify) — pin it (slim rows, far smaller than the input) so
-    # blocking/pair-gen runs exactly once.
-    if ckpt is None:
-        pairs = pairs.materialize()
-    if cfg.use_verifier:
-        pairs = stage("verify", lambda: verify_borderline(
-            pairs, records, cfg, num_buckets=max(8, num_buckets // 2)))
-        if ckpt is None:
-            pairs = pairs.materialize()
-    edges = stage("edges", lambda: edges_from_pairs(pairs, cfg))
-    star = stage("components", lambda: connected_components(
-        edges, num_buckets=num_buckets, max_rounds=cfg.max_cc_rounds,
-        driver_threshold=cfg.cc_driver_threshold))
+        # the merged pair set has several consumers (edges, evaluation,
+        # optional verify) — pin it (slim rows, far smaller than the input)
+        # so blocking/pair-gen runs exactly once
+        stage = pin_at("pairs", "verify", "clusters",
+                       *(["fingerprint"] if pin_records else []))
+    elect = partial(elect_band_carriers, cfg=cfg,
+                    num_buckets=max(8, num_buckets // 2)) \
+        if cfg.suppress_dup_bands else None
+    records, blocks = link_head(ds, cfg, stage=stage, elect=elect)
     # assignment only needs row_id: when records are lazy (not pinned, not
     # checkpointed) a slim 3-column pruned read re-derives ids instead of
     # re-running sha256+normalize over all content
-    if ckpt is None and not (cfg.use_verifier and cfg.pin_records):
-        from spel_ray.stages.fingerprint import row_ids
-        ids_ds = row_ids(ds)
-    else:
-        ids_ds = records
-    clusters = stage("clusters", lambda: assign_clusters(
-        ids_ds, star, num_buckets=num_buckets))
-    if ckpt is None:
-        clusters = clusters.materialize()
-
-    return LinkageResult(records=records, pairs=pairs, edges=edges,
-                         clusters=clusters)
+    lazy = checkpoint_dir is None and not pin_records
+    return link_tail(records, blocks, row_ids(ds) if lazy else records, cfg,
+                     num_buckets=num_buckets, stage=stage,
+                     verify=cfg.use_verifier)
 
 
 def cluster_report(res: LinkageResult, *, num_buckets: int = 16,

@@ -8,17 +8,19 @@ This module shards that phase BY INPUT FILE (one directory per input shard
 
 - input parquet files are assigned round-robin to ``num_shards`` shards
   (pure function of the sorted file list — stable across reruns);
-- each shard runs fingerprint → block_keys over ONLY its files (no read
-  amplification: the reader is given the shard's file subset) and commits
-  its block rows atomically (tmp dir → rename) with a per-shard manifest
-  recording files, config fingerprint, rows, seconds;
-- a rerun skips every complete shard whose config AND file list match, and
-  recomputes the rest — mid-stage resume at shard granularity.
+- each shard runs the chain's head (``link_head``: fingerprint → block
+  keys) over ONLY its files (no read amplification: the reader is given the
+  shard's file subset) as one ``CheckpointedRun.run_stage`` named
+  ``block_rows/shard=NNNNN`` — the same atomic committer and manifest as
+  every stage, with the shard's input files recorded under ``inputs``;
+- a rerun skips every complete shard whose config AND input list match,
+  and recomputes the rest — mid-stage resume at shard granularity.
 
-The wide phases (pair-gen, components, assignment) then run over the union
-of shard outputs with the usual stage checkpoints. Because block rows are a
-pure per-record function, shard boundaries cannot change the result: the
-clusters are byte-identical to an unsharded run (pinned by test).
+The wide phases then run the chain's tail (``link_tail``: pair-gen,
+components, assignment) over the union of shard outputs with the usual stage
+checkpoints. Because block rows are a pure per-record function, shard
+boundaries cannot change the result: the clusters are byte-identical to an
+unsharded run (pinned by test).
 
 Limitation (documented): the borderline content verifier is not supported
 here — it needs ``norm_content`` re-joined, which the slim shard outputs
@@ -28,25 +30,16 @@ verifier-enabled configs, or extend the shard payload.
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
-import time
+from functools import cache
 from pathlib import Path
 
-import pyarrow.parquet as pq
 import ray.data
 
 from spel_ray.config import LinkageConfig
-from spel_ray.pipelines.linkage import LinkageResult
-from spel_ray.stages.blocking import block_keys, elect_band_carriers
-from spel_ray.stages.clustering import assign_clusters, connected_components
-from spel_ray.stages.fingerprint import fingerprint, row_ids
-from spel_ray.stages.pairs import scored_candidate_pairs
-from spel_ray.stages.scoring import edges_from_pairs
+from spel_ray.pipelines.linkage import LinkageResult, link_head, link_tail
+from spel_ray.stages.blocking import elect_band_carriers
+from spel_ray.stages.fingerprint import row_ids
 from spel_ray.state.checkpoint import CheckpointedRun
-
-MANIFEST = "manifest.json"
 
 
 def _input_files(path: str) -> list[str]:
@@ -57,18 +50,6 @@ def _input_files(path: str) -> list[str]:
             raise ValueError(f"no parquet files under {path}")
         return files
     return [str(p)]
-
-
-def _shard_complete(sdir: Path, cfg_fp: str, files: list[str]) -> bool:
-    mp = sdir / MANIFEST
-    if not mp.exists():
-        return False
-    try:
-        m = json.loads(mp.read_text())
-    except (json.JSONDecodeError, OSError):
-        return False
-    return bool(m.get("complete") and m.get("config") == cfg_fp
-                and m.get("files") == files)
 
 
 def sharded_block_rows(path: str, cfg: LinkageConfig, ckpt_root: str, *,
@@ -83,55 +64,24 @@ def sharded_block_rows(path: str, cfg: LinkageConfig, ckpt_root: str, *,
     files = _input_files(path)
     if num_shards is None:
         num_shards = min(16, len(files))
-    groups = [files[s::num_shards] for s in range(num_shards)]
-    root = Path(ckpt_root) / "block_rows"
-    root.mkdir(parents=True, exist_ok=True)
-    cfg_fp = cfg.fingerprint()
+    ckpt = CheckpointedRun(ckpt_root, cfg)
+    elect = None
+    if carriers_factory is not None:
+        shared = cache(carriers_factory)
 
-    carriers_ref = None
-    elected = False
-    data_dirs: list[str] = []
-    for s, group in enumerate(groups):
-        if not group:
-            continue
-        sdir = root / f"shard={s:05d}"
-        data_dir = sdir / "data"
-        if _shard_complete(sdir, cfg_fp, group):
-            data_dirs.append(str(data_dir))
-            continue
-        if carriers_factory is not None and not elected:
-            carriers_ref = carriers_factory()
-            elected = True
-        t0 = time.time()
-        ds = ray.data.read_parquet(group)
-        rows = block_keys(
-            fingerprint(ds, batch_size=cfg.batch_size,
-                        strip_comments=cfg.strip_comments),
-            cfg, carriers_ref=carriers_ref)
-        tmp = sdir / f".tmp.{os.getpid()}"
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.mkdir(parents=True)
-        rows.write_parquet(str(tmp))
-        n_rows = sum(pq.ParquetFile(tmp / f).metadata.num_rows
-                     for f in os.listdir(tmp))
-        if data_dir.exists():
-            shutil.rmtree(data_dir)
-        os.replace(tmp, data_dir)
-        (sdir / MANIFEST).write_text(json.dumps({
-            "shard": s,
-            "files": group,
-            "config": cfg_fp,
-            "complete": True,
-            "rows": n_rows,
-            "seconds": round(time.time() - t0, 3),
-            "written_at": time.time(),
-        }, indent=1))
-        data_dirs.append(str(data_dir))
-    # read_parquet wants files when given a list — enumerate shard outputs
-    out_files = sorted(str(f) for d in data_dirs
-                       for f in Path(d).glob("*.parquet"))
-    return ray.data.read_parquet(out_files)
+        def elect(_records):        # one global election serves every shard
+            return shared()
+
+    shards = []
+    for s in range(num_shards):
+        group = files[s::num_shards]
+        if group:
+            shards.append(ckpt.run_stage(
+                f"block_rows/shard={s:05d}",
+                lambda: link_head(ray.data.read_parquet(group), cfg,
+                                  elect=elect)[1],
+                inputs=group))
+    return shards[0].union(*shards[1:])
 
 
 def run_linkage_sharded(path: str, cfg: LinkageConfig | None = None, *,
@@ -144,30 +94,19 @@ def run_linkage_sharded(path: str, cfg: LinkageConfig | None = None, *,
         raise ValueError("run_linkage_sharded does not support the content "
                          "verifier (slim shard outputs carry no content); "
                          "use run_linkage")
-    ckpt = CheckpointedRun(checkpoint_dir, cfg)
 
     def carriers_factory():
         # global election is a slim deterministic pre-pass: re-running it on
         # resume yields the same carrier map, so shard outputs from
         # different runs agree; invoked lazily — only when a shard actually
         # needs computing (a fully-complete resume skips the corpus pass)
-        recs = fingerprint(ray.data.read_parquet(_input_files(path)),
-                           batch_size=cfg.batch_size,
-                           strip_comments=cfg.strip_comments)
+        recs, _ = link_head(ray.data.read_parquet(_input_files(path)), cfg)
         return elect_band_carriers(recs, cfg,
                                    num_buckets=max(8, num_buckets // 2))
 
     blocks = sharded_block_rows(
         path, cfg, checkpoint_dir, num_shards=num_shards,
         carriers_factory=carriers_factory if cfg.suppress_dup_bands else None)
-    pairs = ckpt.run_stage("pairs", lambda: scored_candidate_pairs(
-        blocks, cfg, num_buckets=num_buckets))
-    edges = ckpt.run_stage("edges", lambda: edges_from_pairs(pairs, cfg))
-    star = ckpt.run_stage("components", lambda: connected_components(
-        edges, num_buckets=num_buckets, max_rounds=cfg.max_cc_rounds,
-        driver_threshold=cfg.cc_driver_threshold))
     ids = row_ids(ray.data.read_parquet(_input_files(path)))
-    clusters = ckpt.run_stage("clusters", lambda: assign_clusters(
-        ids, star, num_buckets=num_buckets))
-    return LinkageResult(records=ids, pairs=pairs, edges=edges,
-                         clusters=clusters)
+    return link_tail(ids, blocks, ids, cfg, num_buckets=num_buckets,
+                     stage=CheckpointedRun(checkpoint_dir, cfg).run_stage)

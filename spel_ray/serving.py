@@ -5,10 +5,10 @@ The reference's flagship entry point is one-document-at-a-time serving
 model state, then per-request annotate. The engine analog:
 
 - :class:`LinkageIndex` — built once from a code-table Dataset: the corpus
-  is fingerprinted + sketched by the SAME pipeline stages as batch linkage
-  (so online results agree with batch results by construction), and the
-  exploded block rows become columnar feature arrays sorted by block key;
-  a probe binary-searches the distinct keys and gathers their row ranges.
+  runs the SAME chain head as batch linkage (``link_head``: fingerprint →
+  block rows), so online results agree with batch results by construction;
+  the block rows become columnar feature arrays sorted by block key; a
+  probe binary-searches the distinct keys and gathers their row ranges.
 - :meth:`LinkageIndex.link` — sketches the single record through the same
   stages, probes its block keys, scores the colocated candidates with the
   configured PairScorer, returns ranked matches.
@@ -36,7 +36,7 @@ import ray.data
 from spel_ray.config import LinkageConfig
 from spel_ray.extension import get_scorer
 from spel_ray.stages.blocking import BlockKeyExploder
-from spel_ray.stages.fingerprint import fingerprint, fingerprint_batch
+from spel_ray.stages.fingerprint import fingerprint_batch
 from spel_ray.stages.minhash import (MinHasher, fixed_binary_view, sig_dtype,
                                      sigs_to_numpy)
 
@@ -170,12 +170,10 @@ class LinkageIndex:
               ) -> "LinkageIndex":
         """records = code table (repo, path, commit, lang, content). The
         sketch runs distributed; only the slim block rows are collected."""
-        cfg = cfg or LinkageConfig()
-        from spel_ray.stages.blocking import block_keys
+        from spel_ray.pipelines.linkage import link_head
 
-        fp = fingerprint(records, batch_size=cfg.batch_size,
-                         strip_comments=cfg.strip_comments)
-        rows = block_keys(fp, cfg)
+        cfg = cfg or LinkageConfig()
+        _, rows = link_head(records, cfg)
         batches = list(rows.iter_batches(batch_format="pyarrow"))
         if batches:
             tbl = pa.concat_tables(batches)
@@ -394,12 +392,10 @@ class ShardedLinkageIndex:
         import os
         import tempfile
 
-        cfg = cfg or LinkageConfig()
-        from spel_ray.stages.blocking import block_keys
+        from spel_ray.pipelines.linkage import link_head
 
-        fp = fingerprint(records, batch_size=cfg.batch_size,
-                         strip_comments=cfg.strip_comments)
-        rows = block_keys(fp, cfg)
+        cfg = cfg or LinkageConfig()
+        _, rows = link_head(records, cfg)
 
         def add_shard(t: pa.Table) -> pa.Table:
             s = np.asarray(t["block_key"], dtype=np.int64) % n_shards

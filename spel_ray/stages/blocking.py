@@ -26,6 +26,7 @@ per-row hashing, no per-row hex decode.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -289,8 +290,19 @@ def block_keys(ds: ray.data.Dataset, cfg: LinkageConfig,
             blocker, batch_format="pyarrow", batch_size=cfg.batch_size,
             zero_copy_batch=True)
     sketched = ds.map_batches(
-        lambda b, cfg=cfg: _cached("minhash", cfg)(b),
+        partial(sketch, cfg=cfg),
         batch_format="pyarrow", batch_size=cfg.batch_size, zero_copy_batch=True)
     return sketched.map_batches(
-        lambda b, cfg=cfg, cr=carriers_ref: _cached("explode", cfg, cr)(b),
+        partial(explode, cfg=cfg, carriers_ref=carriers_ref),
         batch_format="pyarrow", batch_size=cfg.batch_size, zero_copy_batch=True)
+
+
+def sketch(batch: pa.Table, *, cfg: LinkageConfig) -> pa.Table:
+    """Records → records + MinHash signatures (the process-cached hasher)."""
+    return _cached("minhash", cfg)(batch)
+
+
+def explode(batch: pa.Table, *, cfg: LinkageConfig,
+            carriers_ref=None) -> pa.Table:
+    """Sketched records → one row per (record, block key)."""
+    return _cached("explode", cfg, carriers_ref)(batch)

@@ -95,27 +95,12 @@ def chunk_level_pairs(records: ray.data.Dataset, cfg: LinkageConfig | None = Non
     ≙ the reference's overlap conflict vote)."""
     import pyarrow.compute as pc
 
-    from spel_ray.stages.blocking import block_keys
-    from spel_ray.stages.fingerprint import _norm_ws
+    from spel_ray.pipelines.linkage import link_head
     from spel_ray.stages.pairs import scored_candidate_pairs
 
     cfg = cfg or LinkageConfig()
     chunks = chunk_records(records, window=window, overlap=overlap)
-
-    def adapt(batch: pa.Table) -> pa.Table:
-        texts = batch["chunk_text"]
-        shas = [hashlib.sha256((t or "").encode()).hexdigest()
-                for t in texts.to_pylist()]
-        return pa.table({
-            "row_id": batch["chunk_id"],
-            "lang": pa.array(["chunk"] * batch.num_rows, pa.string()),
-            "content_sha256": pa.array(shas, pa.string()),
-            "norm_content": _norm_ws(texts),
-            "n_chars": pc.cast(pc.utf8_length(texts), pa.int64()),
-        })
-
-    chunk_recs = chunks.map_batches(adapt, batch_format="pyarrow")
-    blocks = block_keys(chunk_recs, cfg)
+    _, blocks = link_head(chunks, cfg, text=("chunk_text", "chunk_id", "chunk"))
     chunk_pairs = scored_candidate_pairs(blocks, cfg, num_buckets=num_buckets)
     # each join input is pinned: the join reads its schema, then its rows
     rec_pairs = chunk_pairs.map_batches(

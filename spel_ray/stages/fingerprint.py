@@ -15,6 +15,7 @@ being unique and orderable.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -155,9 +156,29 @@ def fingerprint_batch(batch: pa.Table, *, strip_comments: bool = True) -> pa.Tab
     return out.replace_schema_metadata(None)
 
 
+def text_record_batch(batch: pa.Table, text_col: str, id_col: str,
+                      lang: str) -> pa.Table:
+    """Plain text (``id_col``, ``text_col``) → the record shape
+    :func:`fingerprint_batch` produces (row_id, lang, content_sha256,
+    norm_content, n_chars), so near-dup over documents or chunks runs the
+    same blocking stages as code rows. ``id_col`` becomes row_id as is;
+    every row is tagged ``lang``; sha256 and n_chars are over the raw
+    text."""
+    texts = batch[text_col]
+    shas = [hashlib.sha256((t or "").encode()).hexdigest()
+            for t in texts.to_pylist()]
+    return pa.table({
+        "row_id": batch[id_col],
+        "lang": pa.array([lang] * batch.num_rows, pa.string()),
+        "content_sha256": pa.array(shas, pa.string()),
+        "norm_content": _norm_ws(texts),
+        "n_chars": pc.cast(pc.utf8_length(texts), pa.int64()),
+    })
+
+
 def fingerprint(ds: ray.data.Dataset, *, batch_size: int = 2048,
                 strip_comments: bool = True) -> ray.data.Dataset:
     """Stateless map_batches — pure, zero-copy Arrow."""
     return ds.map_batches(
-        lambda b: fingerprint_batch(b, strip_comments=strip_comments),
+        partial(fingerprint_batch, strip_comments=strip_comments),
         batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)

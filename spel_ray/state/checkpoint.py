@@ -8,6 +8,11 @@ config fingerprint, row count, wall seconds and the file list; a rerun with
 the same config resumes by reading the last complete stage instead of
 recomputing. Writes are atomic (tmp dir → rename) so a crash mid-write never
 looks complete.
+
+This is the engine's only Parquet+manifest committer: ``run_linkage``'s
+stages and ``run_linkage_sharded``'s per-input-shard ingest
+(``block_rows/shard=NNNNN``, whose manifests also record the shard's input
+files) both commit through :meth:`CheckpointedRun.run_stage`.
 """
 
 from __future__ import annotations
@@ -41,15 +46,22 @@ class CheckpointedRun:
         except (json.JSONDecodeError, OSError):
             return None
 
-    def is_complete(self, name: str) -> bool:
+    def is_complete(self, name: str, inputs: list[str] | None = None) -> bool:
         m = self.manifest(name)
-        return bool(m and m.get("complete") and m.get("config") == self.cfg_fp)
+        if not (m and m.get("complete") and m.get("config") == self.cfg_fp):
+            return False
+        # older shard manifests recorded the shard's input list as "files"
+        return inputs is None or m.get("inputs", m.get("files")) == inputs
 
-    def run_stage(self, name: str, fn) -> ray.data.Dataset:
-        """Return the stage's dataset, from checkpoint when complete."""
+    def run_stage(self, name: str, fn, *,
+                  inputs: list[str] | None = None) -> ray.data.Dataset:
+        """Return the stage's dataset, from checkpoint when complete.
+
+        ``inputs``: the files the stage reads, recorded in its manifest; a
+        checkpoint over a different input list is recomputed."""
         sdir = self._stage_dir(name)
         data_dir = sdir / "data"
-        if self.is_complete(name):
+        if self.is_complete(name, inputs):
             return ray.data.read_parquet(str(data_dir))
 
         t0 = time.time()
@@ -90,6 +102,7 @@ class CheckpointedRun:
             "seconds": round(time.time() - t0, 3),
             "files": files,
             "partitions": partitions,
+            "inputs": inputs,
             "written_at": time.time(),
         }
         (sdir / MANIFEST).write_text(json.dumps(man, indent=1))

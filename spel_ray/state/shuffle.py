@@ -30,6 +30,7 @@ Exchange properties:
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -87,7 +88,7 @@ def bucketed_groupby(
     ids — the pandas conversion would silently promote those columns to
     float64 and corrupt large ids."""
     with_bucket = ds.map_batches(
-        lambda b, c=key, n=num_buckets: add_bucket_column(b, c, n),
+        partial(add_bucket_column, key=key, num_buckets=num_buckets),
         batch_format="pyarrow", zero_copy_batch=True)
 
     if batch_format == "pyarrow":

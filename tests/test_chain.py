@@ -1,0 +1,173 @@
+"""The linkage chain (``link_head`` → ``link_tail``) is written once, so every
+entry point must agree: batch at any bucket count, checkpointed and resumed
+at any stage, sharded, and base + increment. Degenerate inputs come back
+typed, and the config reaches every tail."""
+
+import json
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray.data as rd
+
+from spel_ray.config import LinkageConfig
+from spel_ray.functions.dedup import minhash_dedup
+from spel_ray.pipelines.incremental import incremental_link
+from spel_ray.pipelines.linkage import run_linkage
+from spel_ray.pipelines.sharded import run_linkage_sharded, sharded_block_rows
+from spel_ray.sources.synth import generate_code_table
+from spel_ray.stages.blocking import block_keys
+from spel_ray.state.checkpoint import CheckpointedRun
+
+STAGES = ["fingerprint", "block_keys", "pairs", "edges", "components",
+          "clusters"]
+CLUSTERS = pa.schema([("row_id", pa.int64()), ("cluster_id", pa.int64())])
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """240 rows, also written as 3 parquet files (the sharding unit)."""
+    t = generate_code_table(240, seed=5).drop_columns(["ancestor_id"])
+    d = tmp_path_factory.mktemp("chain_input")
+    for i in range(3):
+        pq.write_table(t.slice(i * 80, 80), d / f"part-{i}.parquet")
+    return t, str(d)
+
+
+def _clusters(res):
+    return res.clusters.to_pandas().sort_values("row_id") \
+        .reset_index(drop=True)
+
+
+def _schema(ds):
+    return ds.schema().base_schema
+
+
+def _mtime(ck, stage):
+    return (ck / stage / "manifest.json").stat().st_mtime_ns
+
+
+def test_clusters_invariant_across_entry_points(corpus, tmp_path):
+    t, path = corpus
+    cfg = LinkageConfig()
+    want = _clusters(run_linkage(rd.from_arrow(t), cfg, num_buckets=7))
+    assert want["cluster_id"].nunique() < len(want)     # some real clusters
+    for nb in (1, 64):
+        got = _clusters(run_linkage(rd.from_arrow(t), cfg, num_buckets=nb))
+        assert got.equals(want), f"num_buckets={nb}"
+
+    ck = tmp_path / "ck"
+    res = run_linkage(rd.from_arrow(t), cfg, num_buckets=7,
+                      checkpoint_dir=str(ck))
+    assert _clusters(res).equals(want)
+    # drop each stage's manifest in turn: that stage reruns, the ones
+    # before it are read back untouched
+    for i, stage in enumerate(STAGES):
+        earlier = {s: _mtime(ck, s) for s in STAGES[:i]}
+        (ck / stage / "manifest.json").unlink()
+        res = run_linkage(rd.from_arrow(t), cfg, num_buckets=7,
+                          checkpoint_dir=str(ck))
+        assert _clusters(res).equals(want), f"resume at {stage}"
+        assert (ck / stage / "manifest.json").exists()
+        assert {s: _mtime(ck, s) for s in STAGES[:i]} == earlier, stage
+
+    sharded = run_linkage_sharded(path, cfg, checkpoint_dir=str(tmp_path / "sh"),
+                                  num_shards=3, num_buckets=7)
+    assert _clusters(sharded).equals(want)
+
+    base = run_linkage(rd.from_arrow(t.slice(0, 160)), cfg, num_buckets=7)
+    inc = incremental_link(rd.from_arrow(t.slice(160)),
+                           block_keys(base.records, cfg).materialize(),
+                           base.clusters, cfg, num_buckets=7)
+    assert _clusters(inc).equals(want)
+
+
+def test_shard_manifest_records_and_checks_inputs(corpus, tmp_path):
+    """Each shard commits through ``CheckpointedRun.run_stage``; its manifest
+    records the shard's input files, and a different list recomputes."""
+    _, path = corpus
+    cfg = LinkageConfig()
+    ck = tmp_path / "ck"
+    sharded_block_rows(path, cfg, str(ck), num_shards=3)
+    sdir = ck / "block_rows" / "shard=00001"
+    man = json.loads((sdir / "manifest.json").read_text())
+    assert man["stage"] == "block_rows/shard=00001"
+    assert man["inputs"] == [f"{path}/part-1.parquet"]
+    assert man["rows"] > 0 and man["files"]
+
+    ckpt = CheckpointedRun(str(ck), cfg)
+    name = "block_rows/shard=00001"
+    assert ckpt.is_complete(name, man["inputs"])
+    assert not ckpt.is_complete(name, [f"{path}/part-0.parquet"])
+
+    # a shard manifest in the layout that kept the input list under
+    # "files" (no "inputs" key) still resumes without recomputing
+    old = {"shard": 1, "files": man["inputs"], "config": man["config"],
+           "complete": True, "rows": man["rows"], "seconds": 0.1,
+           "written_at": man["written_at"]}
+    (sdir / "manifest.json").write_text(json.dumps(old))
+    calls = []
+    out = ckpt.run_stage(name, lambda: calls.append(1), inputs=man["inputs"])
+    assert not calls and out.count() == man["rows"]
+
+
+def test_minhash_dedup_passes_the_cc_config(monkeypatch):
+    from spel_ray.pipelines import linkage
+    from spel_ray.stages import clustering
+
+    real = clustering.connected_components
+    seen = []
+
+    def spy(edges, **kw):
+        seen.append(kw)
+        return real(edges, **kw)
+
+    monkeypatch.setattr(clustering, "connected_components", spy)
+    monkeypatch.setattr(linkage, "connected_components", spy)
+    docs = rd.from_arrow(pa.table({
+        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "text": ["the quick brown fox jumps over the lazy dog again"] * 2
+                + ["completely unrelated words live here", "x"]}))
+    cfg = LinkageConfig(use_verifier=False, max_cc_rounds=7,
+                        cc_driver_threshold=0)
+    out = minhash_dedup(docs, cfg, num_buckets=4).to_pandas() \
+        .sort_values("doc_id")
+    assert seen == [{"num_buckets": 4, "max_rounds": 7,
+                     "driver_threshold": 0}]
+    assert out["cluster_id"].tolist() == [1, 1, 3, 4]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_degenerate_inputs_are_typed(tiny_code_table, n):
+    t = tiny_code_table.drop_columns(["ancestor_id"]).slice(0, n)
+    res = run_linkage(rd.from_arrow(t), LinkageConfig(), num_buckets=4)
+    assert _schema(res.clusters) == CLUSTERS
+    rows = res.clusters.take_all()
+    assert len(rows) == n and all(r["row_id"] == r["cluster_id"]
+                                  for r in rows)
+
+    docs = pa.table({"doc_id": pa.array([7], pa.int64()),
+                     "text": ["one lonely document"]}).slice(0, n)
+    out = minhash_dedup(rd.from_arrow(docs), num_buckets=4)
+    assert _schema(out) == pa.schema([("doc_id", pa.int64()),
+                                      ("cluster_id", pa.int64())])
+    assert out.take_all() == [{"doc_id": 7, "cluster_id": 7}] * n
+
+
+def test_empty_delta_keeps_the_clusters(tiny_code_table):
+    t = tiny_code_table.drop_columns(["ancestor_id"])
+    cfg = LinkageConfig()
+    base = run_linkage(rd.from_arrow(t), cfg, num_buckets=4)
+    inc = incremental_link(rd.from_arrow(t.slice(0, 0)),
+                           block_keys(base.records, cfg).materialize(),
+                           base.clusters, cfg, num_buckets=4)
+    assert _schema(inc.clusters) == CLUSTERS
+    assert _clusters(inc).equals(_clusters(base))
+
+
+def test_flagship_operators_are_named(tiny_code_table):
+    res = run_linkage(rd.from_arrow(tiny_code_table.drop_columns(
+        ["ancestor_id"])), LinkageConfig(), num_buckets=4)
+    stats = res.pairs.stats()
+    assert "MapBatches(fingerprint_batch)" in stats
+    assert "<lambda>" not in stats

@@ -1,8 +1,14 @@
-"""Guard for the "one exchange" rule: every shuffle, two-sided tag and join
-lives in ``spel_ray/state/shuffle.py`` (``bucketed_groupby`` / ``cogroup`` /
-``bucketed_join``). Any other module that calls ``Dataset.join``, builds a
-``"_side"`` tag or calls ``.groupby(...).map_groups`` fails this test unless
-it is allowlisted below with its reason."""
+"""Guards for two "one copy" rules.
+
+- One exchange: every shuffle, two-sided tag and join lives in
+  ``spel_ray/state/shuffle.py`` (``bucketed_groupby`` / ``cogroup`` /
+  ``bucketed_join``). Any other module that calls ``Dataset.join``, builds a
+  ``"_side"`` tag or calls ``.groupby(...).map_groups`` fails unless it is
+  allowlisted below with its reason.
+- One committer: ``"manifest.json"`` and the ``os.replace`` commit appear only
+  in ``spel_ray/state/checkpoint.py`` (``CheckpointedRun.run_stage``); other
+  modules checkpoint through it.
+"""
 
 import ast
 from pathlib import Path
@@ -20,14 +26,33 @@ ALLOWED = {
 }
 
 
-def _violations(tree: ast.AST):
-    """(function, line, what) for every hand-rolled exchange in a module."""
-    found = []
+COMMITTER = "state/checkpoint.py"
 
+# (module, enclosing function) -> why it may commit a directory by rename
+COMMIT_ALLOWED = {
+    ("sources/synth.py", "synth_parquet_path"):
+        "test-data cache: a generated corpus renamed into place once, with "
+        "no manifest, config or resume",
+}
+
+
+def _nodes(tree: ast.AST):
+    """(enclosing top-level function, node) for every node of a module."""
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                 and func is None:
             func = node.name
+        yield func, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    return visit(tree, None)
+
+
+def _violations(tree: ast.AST):
+    """(function, line, what) for every hand-rolled exchange in a module."""
+    found = []
+    for func, node in _nodes(tree):
         if isinstance(node, ast.Constant) and node.value == "_side":
             found.append((func, node.lineno, '"_side" tag'))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -42,20 +67,34 @@ def _violations(tree: ast.AST):
                                                  "num_partitions")
                                       for kw in node.keywords):
                 found.append((func, node.lineno, "Dataset.join"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(tree, None)
     return found
+
+
+def _commits(tree: ast.AST):
+    """(function, line, what) for every manifest name or rename commit."""
+    found = []
+    for func, node in _nodes(tree):
+        if isinstance(node, ast.Constant) and node.value == "manifest.json":
+            found.append((func, node.lineno, '"manifest.json"'))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "replace" \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id == "os":
+            found.append((func, node.lineno, "os.replace"))
+    return found
+
+
+def _modules():
+    for path in sorted(PKG.rglob("*.py")):
+        yield path.relative_to(PKG).as_posix(), ast.parse(path.read_text())
 
 
 def test_only_shuffle_module_exchanges():
     bad = []
-    for path in sorted(PKG.rglob("*.py")):
-        mod = path.relative_to(PKG).as_posix()
+    for mod, tree in _modules():
         if mod == EXCHANGE:
             continue
-        for func, line, what in _violations(ast.parse(path.read_text())):
+        for func, line, what in _violations(tree):
             if (mod, func) not in ALLOWED:
                 bad.append(f"spel_ray/{mod}:{line} ({func}): {what}")
     assert not bad, ("hand-rolled exchange outside state/shuffle.py — use "
@@ -63,11 +102,24 @@ def test_only_shuffle_module_exchanges():
                      + "\n".join(bad))
 
 
+def test_only_checkpoint_module_commits():
+    bad = []
+    for mod, tree in _modules():
+        if mod == COMMITTER:
+            continue
+        for func, line, what in _commits(tree):
+            if (mod, func) not in COMMIT_ALLOWED:
+                bad.append(f"spel_ray/{mod}:{line} ({func}): {what}")
+    assert not bad, ("hand-rolled Parquet+manifest commit outside "
+                     "state/checkpoint.py — use CheckpointedRun.run_stage:\n"
+                     + "\n".join(bad))
+
+
 def test_allowlist_entries_are_live():
-    """An allowlist entry whose exchange is gone must be removed."""
-    live = set()
-    for path in PKG.rglob("*.py"):
-        mod = path.relative_to(PKG).as_posix()
-        live |= {(mod, func) for func, _, _ in
-                 _violations(ast.parse(path.read_text()))}
-    assert set(ALLOWED) <= live
+    """An allowlist entry whose exchange or commit is gone must be removed."""
+    exchanges, commits = set(), set()
+    for mod, tree in _modules():
+        exchanges |= {(mod, func) for func, _, _ in _violations(tree)}
+        commits |= {(mod, func) for func, _, _ in _commits(tree)}
+    assert set(ALLOWED) <= exchanges
+    assert set(COMMIT_ALLOWED) <= commits
