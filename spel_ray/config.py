@@ -82,10 +82,6 @@ class LinkageConfig:
     batch_size: int = 2048          # rows per map_batches call for sketching
     pair_batch_size: int = 2048     # pairs per verifier batch
     scorer_concurrency: int = 16    # verifier actor-pool MAX (autoscales from 1)
-    pin_records: bool = True        # materialize fingerprinted records so the
-    # verifier join and cluster assignment don't re-execute the read+sha
-    # pipeline; at very large scale run with a checkpoint_dir instead (stage
-    # parquet replaces object-store pinning).
 
     def __post_init__(self) -> None:
         if self.bands * self.rows_per_band != self.num_perm:

@@ -5,15 +5,21 @@
 - **minhash_dedup**: the full near-dup path — shingle → MinHash → LSH band
   groupby → verified pairs → connected components → per-cluster
   representative. Reuses the linkage stages wholesale.
-- **simhash_dedup**: 64-bit SimHash (Charikar 2002) with a 4-segment
+- **simhash_candidates**: 64-bit SimHash (Charikar 2002) with a 4-segment
   blocking index: near-dups (Hamming distance ≤ 3) must agree on at least
   one of 4 16-bit segments (pigeonhole), so candidate generation is a
   groupby, not an all-pairs scan.
-- **ngram_jaccard_pairs**: exact word n-gram Jaccard verification for
-  candidate pairs.
-- **embedding_neardup**: cosine ≥ τ pairs over an embedding column via
-  blocked numpy matmul against a broadcast matrix (brute-force baseline;
-  see similarity.py for the ANN path).
+- **ngram_jaccard**: exact word n-gram Jaccard verification for candidate
+  pairs.
+- **embedding_neardup_pairs**: cosine ≥ τ pairs over an embedding column
+  via hyperplane-LSH buckets and one exact matmul per bucket (see
+  similarity.py for the ANN path).
+
+SimHash segments and embedding buckets are blocks like the linkage's LSH
+bands: both enumerate them with the engine's one in-block pair kernel
+(``stages/pairs.block_pairs``: all pairs up to a cap, else the ``capped``
+sorted-id chain) and fold a pair met in several blocks with its one pair
+merge (``stages/pairs.merge_pairs``).
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import ray.data
 
 from spel_ray.config import LinkageConfig
 from spel_ray.functions.similarity import embeddings
+from spel_ray.stages.minhash import fixed_binary_view
+from spel_ray.stages.pairs import block_pairs, bucket_pairs, merge_pairs
 from spel_ray.state.shuffle import bucketed_groupby
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -164,12 +172,14 @@ def simhash_candidates(ds_with_simhash: ray.data.Dataset,
     still subject to the hamming verify, so two true near-dups whose
     adjacent links fail the bound can lose their pair — full enumeration
     would not; the ``capped`` flag marks exactly where that risk lives).
-    Same chain-cap pattern as stages/pairs.py; VERDICT r1 'what's wrong' #1."""
+    A pair found in several segments is merged to one row: min hamming
+    (pair-intrinsic), and ``capped`` only if no segment enumerated the pair
+    in full."""
 
     def explode(batch: pa.Table) -> pa.Table:
         sh = np.asarray(batch["simhash"]).view(np.uint64)
         ids = np.asarray(batch[id_col])
-        segs, keys, out_ids, out_sh = [], [], [], []
+        keys, out_ids, out_sh = [], [], []
         for s in range(4):
             seg = (sh >> np.uint64(16 * s)) & np.uint64(0xFFFF)
             key = (seg.astype(np.int64) << 3) | s  # segment value + index
@@ -184,69 +194,23 @@ def simhash_candidates(ds_with_simhash: ray.data.Dataset,
 
     exploded = ds_with_simhash.map_batches(explode, batch_format="pyarrow")
 
-    def pairs_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out_lo, out_hi, out_d, out_c = [], [], [], []
-        for _, g in df.groupby("seg_key", sort=False):
-            g = g.drop_duplicates(id_col).sort_values(id_col)
-            n = len(g)
-            if n < 2:
-                continue
-            ids = g[id_col].to_numpy()
-            sh = g["simhash"].to_numpy().view(np.uint64)
-            if n <= max_segment_rows:
-                a, b = np.triu_indices(n, k=1)
-                capped = False
-            else:  # hot segment: connectivity chain, O(n) not O(n^2)
-                a = np.arange(n - 1)
-                b = a + 1
-                capped = True
-            x = sh[a] ^ sh[b]
-            # vectorized popcount via uint8 view + lookup-free bit twiddling
-            d = np.unpackbits(x.view(np.uint8).reshape(len(x), 8),
-                              axis=1).sum(axis=1)
-            keep = d <= max_hamming
-            out_lo.append(ids[a][keep])
-            out_hi.append(ids[b][keep])
-            out_d.append(d[keep])
-            out_c.append(np.full(int(keep.sum()), capped, dtype=bool))
-        if not out_lo:
-            return pd.DataFrame({"id_lo": pd.Series(dtype="int64"),
-                                 "id_hi": pd.Series(dtype="int64"),
-                                 "hamming": pd.Series(dtype="int64"),
-                                 "capped": pd.Series(dtype="bool")})
-        # per-bucket combine: hamming is pair-intrinsic (same value in every
-        # segment), capped must take MIN so full-enumeration evidence beats
-        # a chain edge — drop_duplicates would keep an arbitrary first
-        return (pd.DataFrame({
-            "id_lo": np.concatenate(out_lo),
-            "id_hi": np.concatenate(out_hi),
-            "hamming": np.concatenate(out_d).astype(np.int64),
-            "capped": np.concatenate(out_c),
-        }).groupby(["id_lo", "id_hi"], sort=False)
-          .agg(hamming=("hamming", "min"), capped=("capped", "min"))
-          .reset_index())
+    def segment_pairs(t: pa.Table) -> pa.Table:
+        ids = np.asarray(t[id_col], dtype=np.int64)
+        lo, hi, capped = bucket_pairs(t["seg_key"], ids, max_segment_rows)
+        x = np.asarray(t["simhash"], dtype=np.int64).view(np.uint64)
+        x = x[lo] ^ x[hi]
+        # vectorized popcount over the uint8 view
+        d = np.unpackbits(x.view(np.uint8).reshape(len(x), 8),
+                          axis=1).sum(axis=1).astype(np.int64)
+        keep = d <= max_hamming
+        return pa.table({"id_lo": ids[lo[keep]], "id_hi": ids[hi[keep]],
+                         "hamming": d[keep], "capped": capped[keep]})
 
-    cand = bucketed_groupby(exploded, "seg_key", pairs_in_bucket,
-                            num_buckets=num_buckets)
-
-    # global dedup (a pair can match in several segments); uncapped
-    # evidence wins if any segment enumerated the pair in full
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby(["id_lo", "id_hi"], sort=False)
-                  .agg(hamming=("hamming", "min"), capped=("capped", "min"))
-                  .reset_index())
-
-    from spel_ray.state.shuffle import pair_key
-
-    def add_pk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_pk"] = pair_key(df["id_lo"].to_numpy(), df["id_hi"].to_numpy())
-        return df
-
-    keyed = cand.map_batches(add_pk, batch_format="pandas")
-    return bucketed_groupby(keyed, "_pk",
-                            lambda df: merge(df.drop(columns=["_pk"])),
-                            num_buckets=num_buckets)
+    cand = bucketed_groupby(exploded, "seg_key", segment_pairs,
+                            num_buckets=num_buckets, batch_format="pyarrow")
+    return merge_pairs(cand, [("hamming", "hamming", "min"),
+                              ("capped", "capped", "min")],
+                       num_buckets=num_buckets)
 
 
 # ------------------------------------------------------------- ngram jaccard
@@ -262,13 +226,6 @@ def ngram_jaccard(a: str, b: str, n: int = 3) -> float:
 
 
 # ------------------------------------------------------- embedding near-dup
-def _empty_emb_pairs() -> pa.Table:
-    return pa.table({"id_lo": pa.array([], pa.int64()),
-                     "id_hi": pa.array([], pa.int64()),
-                     "cosine": pa.array([], pa.float64()),
-                     "capped": pa.array([], pa.bool_())})
-
-
 def embedding_neardup_pairs(ds: ray.data.Dataset, *, threshold: float = 0.95,
                             id_col: str = "vec_id",
                             emb_col: str = "embedding",
@@ -281,10 +238,13 @@ def embedding_neardup_pairs(ds: ray.data.Dataset, *, threshold: float = 0.95,
 
     1. one streaming pass normalizes each vector, packs it as fixed-size
        binary, and explodes it to its ``n_tables`` (table, sign-bucket) keys;
-    2. a bucketed groupby colocates each bucket; pairs within a bucket are
-       scored with one exact matmul (hot buckets > ``max_bucket_rows`` fall
-       back to the observable sorted-id chain, ``capped=True``);
-    3. a pair-keyed merge dedupes pairs that collide in several tables.
+    2. a bucketed groupby colocates each bucket; the pair kernel
+       (``stages/pairs.block_pairs``) enumerates its pairs, scored with one
+       exact matmul (hot buckets > ``max_bucket_rows`` fall back to the
+       observable sorted-id chain, ``capped=True``);
+    3. the engine's one pair merge (``stages/pairs.merge_pairs``) dedupes
+       pairs that collide in several tables (max cosine, ``capped`` only if
+       no table scored the pair in full).
 
     Recall: a τ-pair survives a plane with p = 1 − θ/π (θ = arccos τ); with
     the defaults the per-pair miss probability is (1−p^6)^24 ≤ 6e-6 at
@@ -326,74 +286,33 @@ def embedding_neardup_pairs(ds: ray.data.Dataset, *, threshold: float = 0.95,
 
     exploded = ds.map_batches(explode, batch_format="pyarrow")
 
-    def pairs_in_bucket(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty_emb_pairs()
-        keys_all = np.asarray(t["_bk"], dtype=np.int64)
-        ids_all = np.asarray(t[id_col], dtype=np.int64)
-        col = t["_emb"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        width = col.type.byte_width // 8
-        buf = np.frombuffer(col.buffers()[1], dtype=np.float64)
-        emb_all = buf[col.offset * width:
-                      (col.offset + len(col)) * width].reshape(-1, width)
-        order = np.lexsort((ids_all, keys_all))
-        keys, ids = keys_all[order], ids_all[order]
-        keep = np.r_[True, (keys[1:] != keys[:-1]) | (ids[1:] != ids[:-1])]
-        sel = order[keep]
-        keys, ids, emb = keys_all[sel], ids_all[sel], emb_all[sel]
-        change = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        sizes = np.diff(np.r_[change, len(keys)])
-        lo_o, hi_o, cos_o, cap_o = [], [], [], []
-        for start, n in zip(change, sizes):
-            if n < 2:
-                continue
-            g = slice(start, start + n)
-            if n <= max_bucket_rows:
-                a, b = np.triu_indices(n, k=1)
-                sims = (emb[g] @ emb[g].T)[a, b]
-                capped = False
-            else:  # hot bucket: sorted-id chain, O(n) not O(n^2)
-                a = np.arange(n - 1)
-                b = a + 1
-                sims = (emb[g][a] * emb[g][b]).sum(axis=1)
-                capped = True
+    def bucket_cosines(t: pa.Table) -> pa.Table:
+        ids = np.asarray(t[id_col], dtype=np.int64)
+        # a 0-row exploded batch carries variable-width _emb (no dim known)
+        emb = fixed_binary_view(t["_emb"], t["_emb"].type.byte_width // 8,
+                                np.float64) if t.num_rows else np.zeros((0, 0))
+        lo, hi, cos, cap = ([np.zeros(0, np.int64)], [np.zeros(0, np.int64)],
+                            [np.zeros(0)], [np.zeros(0, bool)])
+        for rows, a, b, capped in block_pairs(t["_bk"], ids, max_bucket_rows):
+            e = emb[rows]
+            # one exact matmul per full block; a hot block's chain scores
+            # only its n-1 adjacent pairs
+            sims = (e[a] * e[b]).sum(axis=1) if capped else (e @ e.T)[a, b]
             hit = sims >= threshold
-            lo_o.append(ids[g][a[hit]])
-            hi_o.append(ids[g][b[hit]])
-            cos_o.append(sims[hit])
-            cap_o.append(np.full(int(hit.sum()), capped, dtype=bool))
-        if not lo_o:
-            return _empty_emb_pairs()
-        return pa.table({"id_lo": pa.array(np.concatenate(lo_o), pa.int64()),
-                         "id_hi": pa.array(np.concatenate(hi_o), pa.int64()),
-                         "cosine": pa.array(np.concatenate(cos_o), pa.float64()),
-                         "capped": pa.array(np.concatenate(cap_o), pa.bool_())})
+            lo.append(ids[rows[a[hit]]])
+            hi.append(ids[rows[b[hit]]])
+            cos.append(sims[hit])
+            cap.append(np.full(int(hit.sum()), capped))
+        return pa.table({"id_lo": np.concatenate(lo),
+                         "id_hi": np.concatenate(hi),
+                         "cosine": np.concatenate(cos),
+                         "capped": np.concatenate(cap)})
 
-    from spel_ray.state.shuffle import pair_key
-
-    cand = bucketed_groupby(exploded, "_bk", pairs_in_bucket,
+    cand = bucketed_groupby(exploded, "_bk", bucket_cosines,
                             num_buckets=num_buckets, batch_format="pyarrow")
-
-    def add_pk(batch: pa.Table) -> pa.Table:
-        pk = pair_key(np.asarray(batch["id_lo"], dtype=np.int64),
-                      np.asarray(batch["id_hi"], dtype=np.int64))
-        return batch.append_column("_pk", pa.array(pk, pa.int64()))
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"id_lo": pd.Series(dtype="int64"),
-                                 "id_hi": pd.Series(dtype="int64"),
-                                 "cosine": pd.Series(dtype="float64"),
-                                 "capped": pd.Series(dtype="bool")})
-        return (df.drop(columns=["_pk"])
-                  .groupby(["id_lo", "id_hi"], sort=False)
-                  .agg(cosine=("cosine", "max"), capped=("capped", "min"))
-                  .reset_index())
-
-    keyed = cand.map_batches(add_pk, batch_format="pyarrow")
-    return bucketed_groupby(keyed, "_pk", merge, num_buckets=num_buckets)
+    return merge_pairs(cand, [("cosine", "cosine", "max"),
+                              ("capped", "capped", "min")],
+                       num_buckets=num_buckets)
 
 
 # ----------------------------------------------- sorted-neighborhood (SNM)

@@ -132,16 +132,24 @@ def run_linkage(ds: ray.data.Dataset, cfg: LinkageConfig | None = None,
 
     With ``checkpoint_dir`` set, each stage writes per-partition Parquet +
     a manifest and a rerun resumes from the last complete stage
-    (see state/checkpoint.py)."""
+    (see state/checkpoint.py). Every manifest records ``ds``'s sorted input
+    files (``Dataset.input_files()``), and a stage written over other files
+    is recomputed. In-memory inputs (``from_arrow``, ``from_pandas`` …) have
+    no input files — nor, as Ray reports it, does a read with a map on top —
+    so their checkpoints are not identity-checked: reuse a
+    ``checkpoint_dir`` only for the same such table."""
     cfg = cfg or LinkageConfig()
     # the verifier's content join probes records twice — pin once instead of
-    # re-reading + re-hashing per consumer. Without the verifier the default
-    # path never pins content: blocking consumes records as one stream and
-    # assignment re-derives the (cheap) id pass.
-    pin_records = cfg.use_verifier and cfg.pin_records
+    # re-reading + re-hashing per consumer (at very large scale, run with a
+    # checkpoint_dir: stage parquet replaces object-store pinning). Without
+    # the verifier the default path never pins content: blocking consumes
+    # records as one stream and assignment re-derives the (cheap) id pass.
+    pin_records = cfg.use_verifier
     if checkpoint_dir is not None:
         from spel_ray.state.checkpoint import CheckpointedRun
-        stage = CheckpointedRun(checkpoint_dir, cfg).run_stage
+        # a stage checkpoint is reused only over the same input files
+        stage = partial(CheckpointedRun(checkpoint_dir, cfg).run_stage,
+                        inputs=sorted(ds.input_files()))
     else:
         # the merged pair set has several consumers (edges, evaluation,
         # optional verify) — pin it (slim rows, far smaller than the input)

@@ -30,7 +30,7 @@ verifier-enabled configs, or extend the shard payload.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import ray.data
@@ -81,7 +81,8 @@ def sharded_block_rows(path: str, cfg: LinkageConfig, ckpt_root: str, *,
                 lambda: link_head(ray.data.read_parquet(group), cfg,
                                   elect=elect)[1],
                 inputs=group))
-    return shards[0].union(*shards[1:])
+    # Ray cannot plan a one-input union: a single shard is returned as is
+    return shards[0].union(*shards[1:]) if len(shards) > 1 else shards[0]
 
 
 def run_linkage_sharded(path: str, cfg: LinkageConfig | None = None, *,
@@ -107,6 +108,8 @@ def run_linkage_sharded(path: str, cfg: LinkageConfig | None = None, *,
     blocks = sharded_block_rows(
         path, cfg, checkpoint_dir, num_shards=num_shards,
         carriers_factory=carriers_factory if cfg.suppress_dup_bands else None)
-    ids = row_ids(ray.data.read_parquet(_input_files(path)))
+    files = _input_files(path)
+    ids = row_ids(ray.data.read_parquet(files))
     return link_tail(ids, blocks, ids, cfg, num_buckets=num_buckets,
-                     stage=CheckpointedRun(checkpoint_dir, cfg).run_stage)
+                     stage=partial(CheckpointedRun(checkpoint_dir, cfg)
+                                   .run_stage, inputs=files))

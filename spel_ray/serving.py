@@ -37,8 +37,7 @@ from spel_ray.config import LinkageConfig
 from spel_ray.extension import get_scorer
 from spel_ray.stages.blocking import BlockKeyExploder
 from spel_ray.stages.fingerprint import fingerprint_batch
-from spel_ray.stages.minhash import (MinHasher, fixed_binary_view, sig_dtype,
-                                     sigs_to_numpy)
+from spel_ray.stages.minhash import MinHasher, fixed_binary_view, sig_dtype
 
 
 def _features(t: pa.Table, cfg: LinkageConfig):
@@ -47,9 +46,9 @@ def _features(t: pa.Table, cfg: LinkageConfig):
     return {
         "block_key": np.asarray(t["block_key"], dtype=np.int64),
         "row_id": np.asarray(t["row_id"], dtype=np.int64),
-        "sig": sigs_to_numpy(t["sig"], cfg.num_perm, sig_dtype(cfg)),
-        "sig_tok": sigs_to_numpy(t["sig_tok"], cfg.num_perm_tok,
-                                 sig_dtype(cfg)),
+        "sig": fixed_binary_view(t["sig"], cfg.num_perm, sig_dtype(cfg)),
+        "sig_tok": fixed_binary_view(t["sig_tok"], cfg.num_perm_tok,
+                                     sig_dtype(cfg)),
         "n_chars": np.asarray(t["n_chars"], dtype=np.int64),
         "sha16": fixed_binary_view(t["sha16"], 16, np.uint8)
                  .view("S16").ravel(),

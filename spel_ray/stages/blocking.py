@@ -33,7 +33,7 @@ import pyarrow as pa
 import ray.data
 
 from spel_ray.config import LinkageConfig
-from spel_ray.stages.minhash import MinHasher, sig_dtype, sigs_to_numpy
+from spel_ray.stages.minhash import MinHasher, fixed_binary_view, sig_dtype
 
 BLOCK_SCHEMA_COLS = ["block_key", "row_id", "sig", "sig_tok", "n_chars", "sha16"]
 
@@ -133,8 +133,8 @@ class BlockKeyExploder:
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         n = batch.num_rows
-        sigs = sigs_to_numpy(batch["sig"], cfg.num_perm,
-                             sig_dtype(cfg))                       # (n, P)
+        sigs = fixed_binary_view(batch["sig"], cfg.num_perm,
+                                 sig_dtype(cfg))                   # (n, P)
         # all rows' band hashes in ONE tensor contraction (≡ per-row
         # MinHasher.band_hashes: uint32 sig reshaped to (bands, r), dotted
         # with the FNV power vector in uint64 wraparound arithmetic)

@@ -9,7 +9,8 @@ windows with 20-token overlap, reference ``model.py:33-34``,
   key on explicit positions, never block order (SURVEY.md §7.4).
 - ``chunk_level_pairs`` — run the MinHash-LSH blocking + pair scoring over
   the CHUNKS, then vote chunk-pair evidence up to record pairs (max score,
-  count of supporting chunk pairs). This detects records that share large
+  count of supporting chunk pairs) with the engine's one pair merge
+  (``stages/pairs.merge_pairs``). This detects records that share large
   copied regions even when whole-file similarity is low — partial-file
   duplication, which whole-record MinHash misses.
 """
@@ -20,12 +21,11 @@ import hashlib
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
 from spel_ray.config import LinkageConfig
-from spel_ray.state.shuffle import bucketed_groupby, bucketed_join, pair_key
+from spel_ray.state.shuffle import bucketed_join
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -96,7 +96,7 @@ def chunk_level_pairs(records: ray.data.Dataset, cfg: LinkageConfig | None = Non
     import pyarrow.compute as pc
 
     from spel_ray.pipelines.linkage import link_head
-    from spel_ray.stages.pairs import scored_candidate_pairs
+    from spel_ray.stages.pairs import merge_pairs, scored_candidate_pairs
 
     cfg = cfg or LinkageConfig()
     chunks = chunk_records(records, window=window, overlap=overlap)
@@ -120,29 +120,18 @@ def chunk_level_pairs(records: ray.data.Dataset, cfg: LinkageConfig | None = Non
             f"id_{side}", "chunk_id", how="inner",
             num_buckets=num_buckets).materialize()
 
-    # vote up to record pairs: same-record chunk matches dropped
-    def add_pk(batch: pa.Table) -> pa.Table:
+    # vote up to record pairs (max score, n supporting chunk pairs) with the
+    # engine's one pair merge; same-record chunk matches are dropped and each
+    # record pair is put in (lo, hi) order first
+    def record_pair(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["rec_lo"], dtype=np.int64)
         b = np.asarray(batch["rec_hi"], dtype=np.int64)
         keep = a != b
-        lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
-        return pa.table({"id_lo": lo, "id_hi": hi,
-                         "score": batch["score"].filter(pa.array(keep)),
-                         "_pk": pair_key(lo, hi)})
+        return pa.table({"id_lo": np.minimum(a, b)[keep],
+                         "id_hi": np.maximum(a, b)[keep],
+                         "score": batch["score"].filter(pa.array(keep))})
 
-    keyed = rec_pairs.map_batches(add_pk, batch_format="pyarrow")
-
-    def vote(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"id_lo": pd.Series(dtype="int64"),
-                                 "id_hi": pd.Series(dtype="int64"),
-                                 "max_chunk_score": pd.Series(dtype="float64"),
-                                 "n_shared_chunks": pd.Series(dtype="int64")})
-        g = df.groupby(["id_lo", "id_hi"], sort=False).agg(
-            max_chunk_score=("score", "max"),
-            n_shared_chunks=("score", "size")).reset_index()
-        return g
-
-    return bucketed_groupby(keyed, "_pk",
-                            lambda df: vote(df.drop(columns=["_pk"])),
-                            num_buckets=num_buckets)
+    return merge_pairs(
+        rec_pairs.map_batches(record_pair, batch_format="pyarrow"),
+        [("max_chunk_score", "score", "max"),
+         ("n_shared_chunks", "score", "count")], num_buckets=num_buckets)

@@ -173,16 +173,3 @@ def fixed_binary_view(col: pa.ChunkedArray | pa.Array, width_units: int,
 def sig_dtype(cfg: LinkageConfig):
     """numpy dtype of stored signature slots for this config."""
     return np.uint16 if cfg.sig_bytes == 2 else np.uint32
-
-
-def sigs_to_numpy(col: pa.ChunkedArray | pa.Array, num_perm: int,
-                  dtype=np.uint32) -> np.ndarray:
-    """Zero-copy-ish view of a fixed_size_binary signature column as
-    (n, num_perm) of ``dtype`` (pass ``sig_dtype(cfg)``)."""
-    return fixed_binary_view(col, num_perm, dtype)
-
-
-def est_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> np.ndarray:
-    """Vectorized MinHash Jaccard estimate for aligned pair arrays
-    (n, num_perm) × (n, num_perm) → (n,) float64."""
-    return (sig_a == sig_b).mean(axis=1)

@@ -1,179 +1,155 @@
-"""Pair generation + first-pass scoring + duplicate-pair merge.
+"""Candidate pairs: the one in-block pair kernel, the one pair merge, and the
+flagship's pair-gen + first-pass scoring built on them.
 
-The wide step of the pipeline (north_star's "salted groupby-aggregate shuffle
-colocating candidate pairs with explicit skew-splitting of hot keys").
+Every pair producer in the engine — the flagship linkage, SimHash segments
+(``functions/dedup.simhash_candidates``), embedding LSH buckets
+(``embedding_neardup_pairs``) and the chunk vote
+(``stages/chunker.chunk_level_pairs``) — is "enumerate the pairs inside each
+block, then merge duplicate pairs". Both halves are written once, here:
 
-Design choices, for 100 TB:
+- **In-block enumeration** (:func:`block_pairs`, Ray-free). A bucket's
+  ``(key, id)`` rows are deduped and sorted by id within each block. A block
+  with n ≤ cap members yields all C(n,2) pairs. A hot block (boilerplate
+  content, dense LSH band) yields a sorted *chain* (r0,r1),(r1,r2)…: n-1
+  edges that preserve connectivity for transitive clustering while bounding
+  a hot key at O(n) instead of O(n²). Chain pairs carry ``capped=True`` so
+  the cap is observable, not silent.
+- **Pair merge** (:func:`merge_pairs`). A pair colliding in several blocks
+  is emitted once per shared block; one Arrow bucketed groupby on
+  ``(id_lo, id_hi)`` folds it to one row with the caller's aggregates (the
+  flagship keeps max score / any exact and counts supporting blocks) — the
+  engine's analog of the reference's overlapping-chunk conflict vote
+  (reference ``utils.py:230-251``, ``:316-328``).
 
-- **Score inside pair-gen.** The MinHash-Jaccard estimate needs only the two
-  signatures, which are already colocated in the block — so candidate pairs
-  are scored the moment they are formed, and only the slim scored edge
-  ``(id_lo, id_hi, block_key, jac, exact, score, capped)`` ever leaves the
-  bucket task. Signatures are never shuffled a second time.
-- **Skew cap.** A block with n ≤ ``max_block_pairs_n`` rows emits all C(n,2)
-  pairs. A hot block (boilerplate content, dense LSH band) emits a sorted
-  *chain* (r0,r1),(r1,r2)…: n-1 edges that preserve connectivity for
-  transitive clustering while bounding a hot key at O(n) instead of O(n²).
-  Chain pairs carry ``capped=True`` so the cap is observable, not silent.
-- **Duplicate-pair merge.** A true near-dup pair collides in many bands and
-  is emitted/scored once per shared block; the merge keeps max score / any
-  exact and counts supporting blocks — the engine's analog of the
-  reference's overlapping-chunk conflict vote (reference ``utils.py:230-251``,
-  ``:316-328``; deterministic: max, then lexicographic pair order).
+The flagship scores inside pair-gen: the MinHash-Jaccard estimate needs only
+the two signatures, which are already colocated in the block, so pairs are
+scored the moment they are formed and only the slim scored edge
+``PAIR_SCHEMA`` leaves the bucket task. Signatures never shuffle twice.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 import ray.data
 
 from spel_ray.config import LinkageConfig
 from spel_ray.extension import get_scorer
-from spel_ray.state.shuffle import bucketed_groupby, pair_key
+from spel_ray.stages.minhash import fixed_binary_view, sig_dtype
+from spel_ray.state.shuffle import bucketed_groupby
 
-PAIR_COLS = ["id_lo", "id_hi", "block_key", "jac", "exact", "score", "capped"]
+# one scored candidate pair, as pair-gen emits it (the merge adds n_blocks)
+PAIR_SCHEMA = pa.schema([
+    ("id_lo", pa.int64()), ("id_hi", pa.int64()), ("block_key", pa.int64()),
+    ("jac", pa.float64()), ("exact", pa.bool_()), ("score", pa.float64()),
+    ("capped", pa.bool_()),
+])
+
+# the flagship's duplicate-pair vote: (output, input column, Arrow aggregate);
+# capped takes MIN so uncapped evidence wins if any block was enumerated in full
+PAIR_MERGE = [("block_key", "block_key", "min"), ("jac", "jac", "max"),
+              ("exact", "exact", "max"), ("score", "score", "max"),
+              ("capped", "capped", "min"), ("n_blocks", "block_key", "count")]
 
 
-from spel_ray.stages.minhash import fixed_binary_view as _fixed_binary_view
+def block_pairs(keys, ids, cap: int):
+    """The in-block pair kernel: one bucket's ``(key, id)`` rows (any order,
+    repeats allowed) → for each block with ≥ 2 distinct ids, one
+    ``(rows, a, b, capped)``.
+
+    ``rows`` are input positions of the block's members, one per distinct id,
+    sorted by id; ``a < b`` index ``rows``. n ≤ ``cap`` members give all
+    C(n,2) pairs, more give the n-1 chain of id-adjacent members with
+    ``capped`` True. A 0-row bucket yields nothing."""
+    keys = np.asarray(keys, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
+    order = np.lexsort((ids, keys))
+    k, i = keys[order], ids[order]
+    distinct = np.ones(len(k), dtype=bool)
+    distinct[1:] = (k[1:] != k[:-1]) | (i[1:] != i[:-1])
+    sel, k = order[distinct], k[distinct]
+    first = np.ones(len(k), dtype=bool)
+    first[1:] = k[1:] != k[:-1]
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.r_[starts, len(k)])
+    multi = sizes > 1
+    for start, n in zip(starts[multi].tolist(), sizes[multi].tolist()):
+        if n <= cap:
+            a, b = np.triu_indices(n, k=1)
+        else:   # hot block: connectivity chain, O(n) not O(n^2)
+            a = np.arange(n - 1)
+            b = a + 1
+        yield sel[start:start + n], a, b, n > cap
 
 
-def _gen_and_score_bucket(t, cfg: LinkageConfig, scorer=None):
-    """One bucket of block rows (Arrow table) → scored candidate pairs.
+def bucket_pairs(keys, ids, cap: int):
+    """Every block's pairs at once: ``(lo, hi, capped)``, ``lo``/``hi`` input
+    positions (``ids[lo] < ids[hi]``) and one capped flag per pair."""
+    lo, hi, capped = ([np.zeros(0, np.int64)], [np.zeros(0, np.int64)],
+                      [np.zeros(0, bool)])
+    for rows, a, b, c in block_pairs(keys, ids, cap):
+        lo.append(rows[a])
+        hi.append(rows[b])
+        capped.append(np.full(len(a), c))
+    return np.concatenate(lo), np.concatenate(hi), np.concatenate(capped)
+
+
+def merge_bucket(t: pa.Table, aggs) -> pa.Table:
+    """One bucket of pairs → one row per ``(id_lo, id_hi)``. ``aggs``:
+    ``(output, input column, Arrow hash aggregate)`` triples, in output
+    order. Typed even when the bucket is empty."""
+    g = t.group_by(["id_lo", "id_hi"], use_threads=False).aggregate(
+        [(col, fn) for _, col, fn in aggs])
+    return pa.table([g["id_lo"], g["id_hi"]]
+                    + [g[f"{col}_{fn}"] for _, col, fn in aggs],
+                    names=["id_lo", "id_hi"] + [out for out, _, _ in aggs])
+
+
+def merge_pairs(pairs: ray.data.Dataset, aggs, *,
+                num_buckets: int) -> ray.data.Dataset:
+    """Pairs (``id_lo < id_hi`` plus payload) → one row per pair, aggregated
+    by ``aggs`` (see :func:`merge_bucket`) in one exchange keyed on the pair
+    itself."""
+    return bucketed_groupby(pairs, ["id_lo", "id_hi"],
+                            partial(merge_bucket, aggs=aggs),
+                            num_buckets=num_buckets, batch_format="pyarrow")
+
+
+def gen_and_score_bucket(t: pa.Table, cfg: LinkageConfig, scorer) -> pa.Table:
+    """One bucket of block rows → scored candidate pairs (``PAIR_SCHEMA``).
 
     Arrow-native on purpose: signature columns are read as numpy buffer
     views; a pandas conversion would materialize one Python bytes object per
     row and dominate the task (measured ~6× the useful compute)."""
-    import pyarrow as pa
-
-    if isinstance(t, pd.DataFrame):      # unit-test convenience path
-        w = cfg.sig_bytes
-        t = pa.table({
-            "block_key": pa.array(t["block_key"], pa.int64()),
-            "row_id": pa.array(t["row_id"], pa.int64()),
-            "sig": pa.array(t["sig"], pa.binary(cfg.num_perm * w)),
-            "sig_tok": pa.array(t["sig_tok"], pa.binary(cfg.num_perm_tok * w)),
-            "n_chars": pa.array(t["n_chars"], pa.int64()),
-            "sha16": pa.array(t["sha16"], pa.binary(16)),
-        })
-    if t.num_rows == 0:
-        return _empty_pairs()
-
-    keys_all = np.asarray(t["block_key"], dtype=np.int64)
-    ids_all = np.asarray(t["row_id"], dtype=np.int64)
-    order = np.lexsort((ids_all, keys_all))
-    keys = keys_all[order]
-    ids = ids_all[order]
-    # consecutive-duplicate removal over sorted (block_key, row_id)
-    keep = np.r_[True, (keys[1:] != keys[:-1]) | (ids[1:] != ids[:-1])]
-    sel = order[keep]
-    keys = keys_all[sel]
-    ids = ids_all[sel]
-
-    from spel_ray.stages.minhash import sig_dtype
-    dt = sig_dtype(cfg)
-    sigs = _fixed_binary_view(t["sig"], cfg.num_perm, dt)[sel]
-    sigs_t = _fixed_binary_view(t["sig_tok"], cfg.num_perm_tok, dt)[sel]
-    # sha16 as two uint64 words for vectorized equality
-    sha2 = _fixed_binary_view(t["sha16"], 2, np.uint64)[sel]
-    n_chars = np.asarray(t["n_chars"], dtype=np.int64)[sel]
-
-    change = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    sizes = np.diff(np.r_[change, len(keys)])
-
-    lo_idx: list[np.ndarray] = []
-    hi_idx: list[np.ndarray] = []
-    capped: list[np.ndarray] = []
-    cap = cfg.max_block_pairs_n
-    for start, n in zip(change, sizes):
-        if n < 2:
-            continue
-        if n <= cap:
-            a, b = np.triu_indices(n, k=1)
-            lo_idx.append(start + a)
-            hi_idx.append(start + b)
-            capped.append(np.zeros(len(a), dtype=bool))
-        else:  # hot block: connectivity chain, O(n) not O(n^2)
-            idx = start + np.arange(n - 1)
-            lo_idx.append(idx)
-            hi_idx.append(idx + 1)
-            capped.append(np.ones(n - 1, dtype=bool))
-    if not lo_idx:
-        return _empty_pairs()
-
-    lo = np.concatenate(lo_idx)
-    hi = np.concatenate(hi_idx)
-    cap_flag = np.concatenate(capped)
-
+    keys = np.asarray(t["block_key"], dtype=np.int64)
+    ids = np.asarray(t["row_id"], dtype=np.int64)
+    lo, hi, capped = bucket_pairs(keys, ids, cfg.max_block_pairs_n)
     # incremental mode: when an ``is_new`` column is present, old-old pairs
     # are skipped — their verdicts are already encoded in the previous run's
     # cluster membership edges (see pipelines/incremental.py)
     if "is_new" in t.column_names:
-        new_flag = np.asarray(t["is_new"], dtype=bool)[sel]
-        keep_pair = new_flag[lo] | new_flag[hi]
-        lo, hi, cap_flag = lo[keep_pair], hi[keep_pair], cap_flag[keep_pair]
-        if len(lo) == 0:
-            return _empty_pairs()
+        new = np.asarray(t["is_new"], dtype=bool)
+        keep = new[lo] | new[hi]
+        lo, hi, capped = lo[keep], hi[keep], capped[keep]
+    if len(lo) == 0:
+        return PAIR_SCHEMA.empty_table()
 
-    sha_eq = (sha2[lo] == sha2[hi]).all(axis=1)
-    # pluggable pair scorer (§2.10): resolved from the registry DRIVER-side
-    # in scored_candidate_pairs (worker processes don't see user
-    # registrations) and shipped in the task closure; the None fallback
-    # serves direct unit-test calls
-    if scorer is None:
-        scorer = get_scorer(cfg.scorer)
+    dt = sig_dtype(cfg)
+    sigs = fixed_binary_view(t["sig"], cfg.num_perm, dt)
+    toks = fixed_binary_view(t["sig_tok"], cfg.num_perm_tok, dt)
+    sha2 = fixed_binary_view(t["sha16"], 2, np.uint64)  # two words per sha
+    n_chars = np.asarray(t["n_chars"], dtype=np.int64)
+    # the pluggable pair scorer (§2.10) is resolved DRIVER-side in
+    # scored_candidate_pairs (worker processes don't see user
+    # registrations) and shipped in the task closure
     jac, exact, score = scorer.score_pairs(
-        cfg, sig_lo=sigs[lo], sig_hi=sigs[hi],
-        tok_lo=sigs_t[lo], tok_hi=sigs_t[hi],
-        n_lo=n_chars[lo], n_hi=n_chars[hi], sha_eq=sha_eq)
-
-    return pa.table({
-        "id_lo": pa.array(ids[lo], pa.int64()),
-        "id_hi": pa.array(ids[hi], pa.int64()),
-        "block_key": pa.array(keys[lo], pa.int64()),
-        "jac": pa.array(jac, pa.float64()),
-        "exact": pa.array(exact, pa.bool_()),
-        "score": pa.array(score, pa.float64()),
-        "capped": pa.array(cap_flag, pa.bool_()),
-    })
-
-
-def _empty_pairs():
-    import pyarrow as pa
-
-    return pa.table({
-        "id_lo": pa.array([], pa.int64()), "id_hi": pa.array([], pa.int64()),
-        "block_key": pa.array([], pa.int64()),
-        "jac": pa.array([], pa.float64()), "exact": pa.array([], pa.bool_()),
-        "score": pa.array([], pa.float64()),
-        "capped": pa.array([], pa.bool_()),
-    })
-
-
-def _empty_merged() -> pd.DataFrame:
-    return pd.DataFrame({
-        "id_lo": pd.Series(dtype="int64"), "id_hi": pd.Series(dtype="int64"),
-        "block_key": pd.Series(dtype="int64"),
-        "jac": pd.Series(dtype="float64"), "exact": pd.Series(dtype="bool"),
-        "score": pd.Series(dtype="float64"), "capped": pd.Series(dtype="bool"),
-        "n_blocks": pd.Series(dtype="int64"),
-    })
-
-
-def _merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    """One bucket of scored pairs → one row per (id_lo, id_hi)."""
-    if len(df) == 0:
-        return _empty_merged()
-    g = df.groupby(["id_lo", "id_hi"], sort=False)
-    out = g.agg(
-        block_key=("block_key", "min"),
-        jac=("jac", "max"),
-        exact=("exact", "max"),
-        score=("score", "max"),
-        capped=("capped", "min"),   # uncapped evidence wins if any block was full
-        n_blocks=("block_key", "size"),
-    ).reset_index()
-    return out
+        cfg, sig_lo=sigs[lo], sig_hi=sigs[hi], tok_lo=toks[lo],
+        tok_hi=toks[hi], n_lo=n_chars[lo], n_hi=n_chars[hi],
+        sha_eq=(sha2[lo] == sha2[hi]).all(axis=1))
+    return pa.table([ids[lo], ids[hi], keys[lo], jac, exact, score, capped],
+                    schema=PAIR_SCHEMA)
 
 
 def mine_hard_negatives(pairs: ray.data.Dataset, cfg: LinkageConfig,
@@ -191,14 +167,13 @@ def mine_hard_negatives(pairs: ray.data.Dataset, cfg: LinkageConfig,
     agreement is k/num_perm), so ties at the cutoff are common; both stages
     break ties lexicographically on (id_lo, id_hi) so the selected set is
     independent of partitioning/parallelism (ADVICE r2 #1)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     if pairs.schema() is None:              # no pairs at all
         return pairs
     thr = cfg.score_threshold
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def partial_top(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.less(batch["score"], thr),
                        pc.invert(batch["exact"]))
         t = batch.filter(keep).select(["id_lo", "id_hi", "score"])
@@ -210,31 +185,21 @@ def mine_hard_negatives(pairs: ray.data.Dataset, cfg: LinkageConfig,
             t = t.take(pa.array(np.sort(idx)))
         return t
 
-    parts = pairs.map_batches(partial, batch_format="pyarrow")
+    parts = pairs.map_batches(partial_top, batch_format="pyarrow")
     return (parts.sort(["score", "id_lo", "id_hi"],
                        descending=[True, False, False]).limit(n))
 
 
 def scored_candidate_pairs(block_rows: ray.data.Dataset, cfg: LinkageConfig,
                            *, num_buckets: int = 64) -> ray.data.Dataset:
-    """block rows → deduped scored candidate pairs.
+    """block rows → deduped scored candidate pairs (``PAIR_SCHEMA`` +
+    ``n_blocks``).
 
-    Two bucketed shuffles: (1) by block_key for pair-gen+score, (2) by
-    pair hash for the duplicate merge."""
-    import pyarrow as pa
-
+    Two bucketed shuffles: (1) by block_key for pair-gen + score, (2) by the
+    pair for the duplicate merge."""
     scorer = get_scorer(cfg.scorer)      # resolve on the driver (§2.10)
     pairs = bucketed_groupby(block_rows, "block_key",
-                             lambda t: _gen_and_score_bucket(t, cfg, scorer),
+                             partial(gen_and_score_bucket, cfg=cfg,
+                                     scorer=scorer),
                              num_buckets=num_buckets, batch_format="pyarrow")
-
-    def add_pk(batch: pa.Table) -> pa.Table:
-        pk = pair_key(np.asarray(batch["id_lo"], dtype=np.int64),
-                      np.asarray(batch["id_hi"], dtype=np.int64))
-        return batch.append_column("_pk", pa.array(pk, pa.int64()))
-
-    keyed = pairs.map_batches(add_pk, batch_format="pyarrow")
-    merged = bucketed_groupby(keyed, "_pk",
-                              lambda df: _merge_bucket(df.drop(columns=["_pk"])),
-                              num_buckets=num_buckets)
-    return merged
+    return merge_pairs(pairs, PAIR_MERGE, num_buckets=num_buckets)

@@ -11,8 +11,11 @@ looks complete.
 
 This is the engine's only Parquet+manifest committer: ``run_linkage``'s
 stages and ``run_linkage_sharded``'s per-input-shard ingest
-(``block_rows/shard=NNNNN``, whose manifests also record the shard's input
-files) both commit through :meth:`CheckpointedRun.run_stage`.
+(``block_rows/shard=NNNNN``) and tail stages all commit through
+:meth:`CheckpointedRun.run_stage`. Each passes the files it reads as
+``inputs`` (a shard its own files, every other stage the run's input
+files); the manifest records them and a checkpoint over other files is
+recomputed.
 """
 
 from __future__ import annotations

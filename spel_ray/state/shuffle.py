@@ -99,7 +99,17 @@ def bucketed_groupby(
             return fn(bucket.drop(columns=["_bucket"]))
 
     return with_bucket.groupby("_bucket").map_groups(
-        run, batch_format=batch_format)
+        _named(run, fn), batch_format=batch_format)
+
+
+def _named(run: Callable, fn: Callable) -> Callable:
+    """Name the bucket wrapper ``run`` after the caller's ``fn`` (a
+    ``partial`` unwrapped): Ray names a map_groups operator after its
+    function, so the exchange reads ``MapBatches(<fn>)`` in a plan's stats
+    instead of one anonymous ``MapBatches(run)`` per exchange."""
+    base = fn.func if isinstance(fn, partial) else fn
+    run.__name__ = getattr(base, "__name__", run.__name__)
+    return run
 
 
 # ------------------------------------------------------------ two-sided
@@ -179,8 +189,11 @@ def _cogroup(left: ray.data.Dataset, ltype: pa.StructType,
                             batch_format="pyarrow").union(
         right.map_batches(tag(right_on, rtype, ltype, False),
                           batch_format="pyarrow"))
-    return bucketed_groupby(both, "_key",
-                            lambda t: fn(side(t, "_l"), side(t, "_r")),
+
+    def run(t: pa.Table):
+        return fn(side(t, "_l"), side(t, "_r"))
+
+    return bucketed_groupby(both, "_key", _named(run, fn),
                             num_buckets=num_buckets, batch_format="pyarrow")
 
 
@@ -227,7 +240,8 @@ def bucketed_join(left: ray.data.Dataset, right: ray.data.Dataset,
             batch_format="pyarrow")
         rtype = pa.struct([rtype.field(right_on)])
     return _cogroup(left, ltype, right, rtype, left_on, right_on,
-                    lambda lt, rt: join_bucket(lt, rt, left_on, right_on, how),
+                    partial(join_bucket, left_on=left_on, right_on=right_on,
+                            how=how),
                     num_buckets)
 
 
@@ -289,7 +303,8 @@ def stable_str_hash(values) -> np.ndarray:
 
 
 def pair_key(id_lo: np.ndarray, id_hi: np.ndarray) -> np.ndarray:
-    """Deterministic int64 key for an id pair (for pair-level bucketing)."""
+    """Deterministic int64 hash of an id pair (the order-independent edge
+    checksum of connected components)."""
     a = id_lo.astype(np.int64).view(np.uint64) * _MIX
     b = id_hi.astype(np.int64).view(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
     h = a ^ (b >> np.uint64(1))

@@ -82,6 +82,42 @@ def test_clusters_invariant_across_entry_points(corpus, tmp_path):
     assert _clusters(inc).equals(want)
 
 
+def test_checkpoints_rerun_over_other_input_files(corpus, tmp_path):
+    """A checkpoint dir reused for another table recomputes every stage (the
+    manifests record the input files) and resumes over the same files."""
+    t, _ = corpus
+    cfg = LinkageConfig()
+    parts = {}
+    for name, rows in (("a", t.slice(0, 60)), ("b", t.slice(60, 90))):
+        (tmp_path / name).mkdir()
+        parts[name] = str(tmp_path / name / "part-0.parquet")
+        pq.write_table(rows, parts[name])
+    want = _clusters(run_linkage(rd.read_parquet(parts["b"]), cfg,
+                                 num_buckets=4))
+    assert len(want) == 90
+
+    ck = tmp_path / "ck"
+    for name in ("a", "b"):
+        res = run_linkage(rd.read_parquet(parts[name]), cfg, num_buckets=4,
+                          checkpoint_dir=str(ck))
+    assert _clusters(res).equals(want)
+    for stage in STAGES:
+        man = json.loads((ck / stage / "manifest.json").read_text())
+        assert man["inputs"] == [parts["b"]], stage
+    before = {s: _mtime(ck, s) for s in STAGES}
+    res = run_linkage(rd.read_parquet(parts["b"]), cfg, num_buckets=4,
+                      checkpoint_dir=str(ck))
+    assert _clusters(res).equals(want)
+    assert {s: _mtime(ck, s) for s in STAGES} == before
+
+    # the sharded tail's stages check the run's input files too
+    sh = str(tmp_path / "sh")
+    for name in ("a", "b"):
+        res = run_linkage_sharded(str(tmp_path / name), cfg,
+                                  checkpoint_dir=sh, num_buckets=4)
+    assert _clusters(res).equals(want)
+
+
 def test_shard_manifest_records_and_checks_inputs(corpus, tmp_path):
     """Each shard commits through ``CheckpointedRun.run_stage``; its manifest
     records the shard's input files, and a different list recomputes."""
@@ -171,3 +207,7 @@ def test_flagship_operators_are_named(tiny_code_table):
     stats = res.pairs.stats()
     assert "MapBatches(fingerprint_batch)" in stats
     assert "<lambda>" not in stats
+    # each exchange is named after its bucket function
+    assert "MapBatches(run)" not in stats
+    assert "MapBatches(gen_and_score_bucket)" in stats
+    assert "MapBatches(merge_bucket)" in stats

@@ -1,4 +1,4 @@
-"""Guards for two "one copy" rules.
+"""Guards for three "one copy" rules.
 
 - One exchange: every shuffle, two-sided tag and join lives in
   ``spel_ray/state/shuffle.py`` (``bucketed_groupby`` / ``cogroup`` /
@@ -8,6 +8,9 @@
 - One committer: ``"manifest.json"`` and the ``os.replace`` commit appear only
   in ``spel_ray/state/checkpoint.py`` (``CheckpointedRun.run_stage``); other
   modules checkpoint through it.
+- One pair kernel: in-block pair enumeration (``np.triu_indices``) and a
+  ``"_pk"`` pair-key column appear only in ``spel_ray/stages/pairs.py``
+  (``block_pairs`` / ``merge_pairs``); other pair producers call them.
 """
 
 import ast
@@ -33,6 +36,17 @@ COMMIT_ALLOWED = {
     ("sources/synth.py", "synth_parquet_path"):
         "test-data cache: a generated corpus renamed into place once, with "
         "no manifest, config or resume",
+}
+
+
+PAIR_KERNEL = "stages/pairs.py"
+
+# (module, enclosing function) -> why it may enumerate pairs by hand
+PAIR_ALLOWED = {
+    ("stages/evaluate.py", "blocking_quality"):
+        "gold pairs: every pair of a small labeled sample, with no blocks, "
+        "cap or merge — the truth the pair kernel's output is measured "
+        "against",
 }
 
 
@@ -84,6 +98,18 @@ def _commits(tree: ast.AST):
     return found
 
 
+def _pair_kernels(tree: ast.AST):
+    """(function, line, what) for every in-block enumeration or pair-key
+    column."""
+    found = []
+    for func, node in _nodes(tree):
+        if isinstance(node, ast.Constant) and node.value == "_pk":
+            found.append((func, node.lineno, '"_pk" column'))
+        if isinstance(node, ast.Attribute) and node.attr == "triu_indices":
+            found.append((func, node.lineno, "np.triu_indices"))
+    return found
+
+
 def _modules():
     for path in sorted(PKG.rglob("*.py")):
         yield path.relative_to(PKG).as_posix(), ast.parse(path.read_text())
@@ -115,11 +141,27 @@ def test_only_checkpoint_module_commits():
                      + "\n".join(bad))
 
 
+def test_only_pair_module_enumerates_pairs():
+    bad = []
+    for mod, tree in _modules():
+        if mod == PAIR_KERNEL:
+            continue
+        for func, line, what in _pair_kernels(tree):
+            if (mod, func) not in PAIR_ALLOWED:
+                bad.append(f"spel_ray/{mod}:{line} ({func}): {what}")
+    assert not bad, ("hand-rolled pair enumeration or pair merge outside "
+                     "stages/pairs.py — use block_pairs / bucket_pairs / "
+                     "merge_pairs:\n" + "\n".join(bad))
+
+
 def test_allowlist_entries_are_live():
-    """An allowlist entry whose exchange or commit is gone must be removed."""
-    exchanges, commits = set(), set()
+    """An allowlist entry whose exchange, commit or pair enumeration is gone
+    must be removed."""
+    exchanges, commits, pairs = set(), set(), set()
     for mod, tree in _modules():
         exchanges |= {(mod, func) for func, _, _ in _violations(tree)}
         commits |= {(mod, func) for func, _, _ in _commits(tree)}
+        pairs |= {(mod, func) for func, _, _ in _pair_kernels(tree)}
     assert set(ALLOWED) <= exchanges
     assert set(COMMIT_ALLOWED) <= commits
+    assert set(PAIR_ALLOWED) <= pairs
