@@ -1,6 +1,6 @@
 """Deduplication family over a text corpus — first-class training-data ops.
 
-- **exact_dedup**: content-hash partition + per-group min-id representative
+- **exact_dedup**: content partition + per-group min-id representative
   (≙ A8/A9 exact dedup, reference ``data_loader.py:380-390``).
 - **minhash_dedup**: the full near-dup path — shingle → MinHash → LSH band
   groupby → verified pairs → connected components → per-cluster
@@ -46,29 +46,13 @@ _WORD_RE = re.compile(r"\w+", re.UNICODE)
 def exact_dedup(ds: ray.data.Dataset, text_col: str = "text",
                 id_col: str = "doc_id", *, num_buckets: int = 32
                 ) -> ray.data.Dataset:
-    """Keep the min-id row per distinct text. Hash-partition by content
-    digest so identical texts colocate; never ships full text twice."""
-
-    def add_hash(batch: pa.Table) -> pa.Table:
-        # per-row hashlib is unavoidable for a cryptographic digest (no
-        # vectorized sha256 kernel exists); each call is C and the digest
-        # is required for cross-engine (DuckDB sha256) oracle parity
-        hs = np.array(
-            [int.from_bytes(
-                hashlib.sha256((t or "").encode()).digest()[:8], "big")
-             & 0x7FFFFFFFFFFFFFFF
-             for t in batch[text_col].to_pylist()], dtype=np.int64)
-        return batch.append_column("_h", pa.array(hs, pa.int64()))
-
-    hashed = ds.map_batches(add_hash, batch_format="pyarrow")
+    """Keep the min-id row per distinct text: one exchange keyed on the
+    text itself colocates identical texts."""
 
     def keep_min(df: pd.DataFrame) -> pd.DataFrame:
-        # hash collisions are broken by comparing the text itself
-        out = (df.sort_values(id_col)
-                 .drop_duplicates(["_h", text_col], keep="first"))
-        return out.drop(columns=["_h"])
+        return df.sort_values(id_col).drop_duplicates([text_col], keep="first")
 
-    return bucketed_groupby(hashed, "_h", keep_min, num_buckets=num_buckets)
+    return bucketed_groupby(ds, text_col, keep_min, num_buckets=num_buckets)
 
 
 # ------------------------------------------------------------------ minhash

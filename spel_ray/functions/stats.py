@@ -5,8 +5,8 @@ half of every curation gate; approximate sketches (t-digest) trade accuracy
 for one pass, but an EXACT distributed quantile is perfectly expressible in
 the engine's own primitives and stays scale-safe:
 
-1. per-batch ``value_counts`` → slim (value, n) partials;
-2. one bucketed shuffle finalizes per-distinct-value counts;
+1. per-batch partial (value, n) counts (``bucketed_aggregate``);
+2. the same aggregate's one bucketed shuffle finalizes them;
 3. a distributed sort orders the distinct values;
 4. per-block summaries (min_v, max_v, n) — ONE ROW PER BLOCK — go to the
    driver, which prefix-sums them to locate the block holding each k-th
@@ -35,32 +35,21 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from spel_ray.state.shuffle import bucketed_groupby
+from spel_ray.state.shuffle import bucketed_aggregate, bucketed_groupby
 
 
 def _value_counts(ds: ray.data.Dataset, col: str,
                   num_buckets: int) -> ray.data.Dataset:
-    def partial(batch: pa.Table) -> pa.Table:
+    def values(batch: pa.Table) -> pa.Table:
         v = batch[col].to_numpy().astype(np.float64, copy=False)
         # NaN/null semantics: EXCLUDED, like SQL NULLs in aggregates and
         # ORDER BY-based order statistics — documented contract
-        v = v[~np.isnan(v)]
-        v = v + 0.0          # fold -0.0 into +0.0: equal values must share
-        #                      one bit pattern or they split across buckets
-        #                      and break block-range disjointness
-        uniq, counts = np.unique(v, return_counts=True)
-        h = uniq.view(np.int64)          # bit pattern as the bucket key
-        return pa.table({"v": pa.array(uniq, pa.float64()),
-                         "n": pa.array(counts, pa.int64()),
-                         "_h": pa.array(h, pa.int64())})
+        # (the aggregate folds -0.0 into +0.0: equal values share one group)
+        return pa.table({"v": pa.array(v[~np.isnan(v)], pa.float64())})
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("v", sort=False)["n"].sum().reset_index()
-
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    return bucketed_groupby(parts, "_h",
-                            lambda df: combine(df.drop(columns=["_h"])),
-                            num_buckets=num_buckets)
+    return bucketed_aggregate(ds.map_batches(values, batch_format="pyarrow"),
+                              ["v"], [("n", "v", "count")],
+                              num_buckets=num_buckets)
 
 
 def exact_quantiles(ds: ray.data.Dataset, col: str, qs: list[float], *,
@@ -189,8 +178,6 @@ def approx_distinct(ds: ray.data.Dataset, *, value_fn, group_col: str,
     extracts the values to count per group from one Arrow batch. Partials
     are merged with a vectorized per-group register max inside one
     bucketed shuffle keyed on the group, then finalized to estimates."""
-    from spel_ray.state.shuffle import stable_str_hash
-
     m = 1 << p
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -198,8 +185,6 @@ def approx_distinct(ds: ray.data.Dataset, *, value_fn, group_col: str,
         regs = [hll_registers(v, p=p).tobytes() for v in per_group]
         return pa.table({
             "group": pa.array([str(g) for g in groups], pa.string()),
-            "_h": pa.array(stable_str_hash([str(g) for g in groups]),
-                           pa.int64()),
             "reg": pa.array(regs, pa.binary(m)),
         })
 
@@ -215,7 +200,6 @@ def approx_distinct(ds: ray.data.Dataset, *, value_fn, group_col: str,
         return pd.DataFrame({group_col: pd.Series(out_g, dtype="object"),
                              "n_approx": pd.Series(out_n, dtype="float64")})
 
-    out = bucketed_groupby(parts, "_h",
-                           lambda df: reduce_group(df.drop(columns=["_h"])),
+    out = bucketed_groupby(parts, "group", reduce_group,
                            num_buckets=num_buckets)
     return out.to_pandas().sort_values(group_col).reset_index(drop=True)

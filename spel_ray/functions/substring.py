@@ -13,7 +13,7 @@ variant that only DETECTS duplication):
 1. **explode** — each document splits into NON-overlapping ``window``-token
    chunks (`\\S+` tokenization; the trailing partial chunk is kept so no
    text is lost; zero-token documents drop out of the output entirely).
-2. **elect** — one bucketed shuffle on the chunk text's hash groups every
+2. **elect** — one bucketed shuffle on the chunk text groups every
    occurrence of the same chunk; a chunk occurring in at least
    ``min_docs`` DISTINCT documents is *duplicated* and the document with
    the smallest doc_id is elected its representative. Work per group is
@@ -45,7 +45,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from spel_ray.state.shuffle import bucketed_groupby, stable_str_hash
+from spel_ray.state.shuffle import bucketed_groupby
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -53,7 +53,7 @@ _TOKEN_RE = re.compile(r"\S+")
 def explode_chunks(ds: ray.data.Dataset, *, window: int = 16,
                    text_col: str = "text",
                    id_col: str = "doc_id") -> ray.data.Dataset:
-    """documents → (doc_id, chunk_idx, chunk, _h) — one row per
+    """documents → (doc_id, chunk_idx, chunk) — one row per
     non-overlapping ``window``-token chunk (trailing partial kept)."""
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -69,7 +69,6 @@ def explode_chunks(ds: ray.data.Dataset, *, window: int = 16,
             id_col: pa.array(doc_out, pa.int64()),
             "chunk_idx": pa.array(idx_out, pa.int64()),
             "chunk": pa.array(chunk_out, pa.string()),
-            "_h": pa.array(stable_str_hash(chunk_out), pa.int64()),
         })
 
     return ds.map_batches(explode, batch_format="pyarrow")
@@ -92,8 +91,6 @@ def dedup_repeated_substrings(ds: ray.data.Dataset, *, window: int = 16,
                 "chunk_idx": pd.Series(dtype="int64"),
                 "chunk": pd.Series(dtype="object"),
                 "keep": pd.Series(dtype="bool")})
-        # group on the chunk TEXT (the hash only routes buckets, so a
-        # collision can never merge two different chunks)
         g = df.groupby("chunk", sort=False)[id_col]
         nd = g.transform("nunique")
         rep = g.transform("min")
@@ -105,7 +102,7 @@ def dedup_repeated_substrings(ds: ray.data.Dataset, *, window: int = 16,
             "keep": keep.to_numpy(bool),
         })
 
-    decided = bucketed_groupby(chunks, "_h", elect, num_buckets=num_buckets)
+    decided = bucketed_groupby(chunks, "chunk", elect, num_buckets=num_buckets)
 
     def rewrite(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:

@@ -147,8 +147,6 @@ def token_vocab(ds: ray.data.Dataset, top_k: int = 100, *,
     text for determinism."""
     from spel_ray.state.shuffle import bucketed_groupby
 
-    from spel_ray.state.shuffle import stable_str_hash
-
     def partial(batch: pa.Table) -> pa.Table:
         # measured: pandas .str.split().explode() is NOT vectorized for
         # object dtype (per-row Python split + explode overhead, ~1.6×
@@ -157,33 +155,21 @@ def token_vocab(ds: ray.data.Dataset, top_k: int = 100, *,
         toks: list[str] = []
         for t in batch[text_col].to_pylist():
             toks.extend((t or "").split())
-        if not toks:
-            return pa.table({"token": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64()),
-                             "_h": pa.array([], pa.int64())})
-        vc = pd.Series(toks).value_counts()
-        tokens = vc.index.to_numpy(dtype=object)
-        h = stable_str_hash(tokens)
-        return pa.table({"token": pa.array(tokens.tolist(), pa.string()),
-                         "n": pa.array(vc.to_numpy(np.int64), pa.int64()),
-                         "_h": pa.array(h, pa.int64())})
+        vc = pd.Series(toks, dtype=object).value_counts()
+        return pa.table({"token": pa.array(vc.index.tolist(), pa.string()),
+                         "n": pa.array(vc.to_numpy(np.int64), pa.int64())})
 
-    return _token_vocab_finalize(ds.map_batches(partial,
-                                                batch_format="pyarrow"),
-                                 top_k, num_buckets, bucketed_groupby)
-
-
-def _token_vocab_finalize(parts, top_k, num_buckets, bucketed_groupby):
-    # every token lands wholly in ONE bucket (stable hash), so each
-    # bucket's sums are final — pre-prune to the bucket-local top_k and the
-    # driver merges at most num_buckets × top_k rows, never the vocabulary
-    def s(df: pd.DataFrame) -> pd.DataFrame:
+    # every token lands wholly in ONE bucket, so each bucket's sums are
+    # final — pre-prune to the bucket-local top_k and the driver merges at
+    # most num_buckets × top_k rows, never the vocabulary
+    def bucket_top(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("token", sort=False)["n"].sum().reset_index()
         return g.sort_values(["n", "token"], ascending=[False, True]) \
                 .head(top_k)
-    agg = bucketed_groupby(parts, "_h", lambda df: s(df.drop(columns=["_h"])),
-                           num_buckets=num_buckets)
-    df = agg.to_pandas()
+
+    df = bucketed_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                          "token", bucket_top,
+                          num_buckets=num_buckets).to_pandas()
     if df.empty:
         return pd.DataFrame({"token": pd.Series(dtype="object"),
                              "n": pd.Series(dtype="int64")})
@@ -326,7 +312,7 @@ def tfidf_top_terms(ds: ray.data.Dataset, *, k: int = 3,
     side)."""
     import math as _math
 
-    from spel_ray.state.shuffle import bucketed_groupby, stable_str_hash
+    from spel_ray.state.shuffle import bucketed_groupby
 
     n_docs = ds.count()
     ws_re = re.compile(r"\S+")
@@ -348,10 +334,8 @@ def tfidf_top_terms(ds: ray.data.Dataset, *, k: int = 3,
         }).explode("term", ignore_index=True) \
           .groupby([id_col, "n_tok", "term"], sort=False) \
           .size().reset_index(name="c")
-        terms = g["term"].tolist()
         return pa.table({
-            "_h": pa.array(stable_str_hash(terms), pa.int64()),
-            "term": pa.array(terms, pa.string()),
+            "term": pa.array(g["term"].tolist(), pa.string()),
             id_col: pa.array(g[id_col].to_numpy(np.int64), pa.int64()),
             "c": pa.array(g["c"].to_numpy(np.int64), pa.int64()),
             "n_tok": pa.array(g["n_tok"].to_numpy(np.int64), pa.int64()),
@@ -373,9 +357,8 @@ def tfidf_top_terms(ds: ray.data.Dataset, *, k: int = 3,
                              "tfidf": tfidf})
 
     scored = bucketed_groupby(
-        ds.map_batches(explode, batch_format="pyarrow"), "_h",
-        lambda d: score_bucket(d.drop(columns=["_h"])),
-        num_buckets=num_buckets)
+        ds.map_batches(explode, batch_format="pyarrow"), "term",
+        score_bucket, num_buckets=num_buckets)
 
     def topk_bucket(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:

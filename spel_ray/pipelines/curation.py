@@ -105,21 +105,17 @@ def stratified_sample(ds: ray.data.Dataset, *, per_group: int,
             df.groupby(group_col, dropna=False).head(per_group),
             preserve_index=False).replace_schema_metadata(None)
 
-    from spel_ray.state.shuffle import bucketed_groupby, stable_str_hash
-
-    def add_gh(batch: pa.Table) -> pa.Table:
-        gh = stable_str_hash(batch[group_col].to_pylist())
-        return batch.append_column("_gh", pa.array(gh, pa.int64()))
+    from spel_ray.state.shuffle import bucketed_groupby
 
     def final_topk(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([group_col, "_rk", id_col])
         return df.groupby(group_col, dropna=False).head(per_group) \
-                 .drop(columns=["_gh", "_rk"])
+                 .drop(columns=["_rk"])
 
     pre = ds.map_batches(rank_cols, batch_format="pyarrow") \
-            .map_batches(local_topk, batch_format="pyarrow") \
-            .map_batches(add_gh, batch_format="pyarrow")
-    return bucketed_groupby(pre, "_gh", final_topk, num_buckets=num_buckets)
+            .map_batches(local_topk, batch_format="pyarrow")
+    return bucketed_groupby(pre, group_col, final_topk,
+                            num_buckets=num_buckets)
 
 
 def write_curated(ds: ray.data.Dataset, out_dir: str) -> dict:

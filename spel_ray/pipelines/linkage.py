@@ -176,7 +176,6 @@ def cluster_report(res: LinkageResult, *, num_buckets: int = 16,
     count pass over the slim (row_id, cluster_id) table; the histogram is
     tiny and finalizes on the driver."""
     import pandas as pd
-    import pyarrow as pa
 
     from spel_ray.state.shuffle import bucketed_groupby
 
@@ -197,10 +196,8 @@ def cluster_report(res: LinkageResult, *, num_buckets: int = 16,
                           top[["size", "n_clusters", "cluster_id"]]])
 
     parts = bucketed_groupby(
-        res.clusters.map_batches(
-            lambda t: pa.table({"cluster_id": t["cluster_id"]}),
-            batch_format="pyarrow"),
-        "cluster_id", bucket_summary, num_buckets=num_buckets).to_pandas()
+        res.clusters.select_columns(["cluster_id"]), "cluster_id",
+        bucket_summary, num_buckets=num_buckets).to_pandas()
     if parts.empty:
         return {"n_records": 0, "n_clusters": 0, "singleton_fraction": 0.0,
                 "size_histogram": {}, "largest": []}

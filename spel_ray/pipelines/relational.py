@@ -9,8 +9,10 @@ float summation order cannot flip the hash.
 These exercise the generic operator surface of SURVEY.md §2 — groupby
 aggregate (A3-A8), broadcast join (J1-J4), sort/limit/top-k (K1-K6), distinct
 (A8), filter/project maps (M1-M12) — on data the driver can oracle with
-DuckDB. All pipelines prune columns at the read and pre-aggregate inside
-map_batches before any shuffle.
+DuckDB. All pipelines prune columns at the read; every GROUP BY is one
+``bucketed_aggregate`` (a per-batch Arrow partial, then one exchange that
+finalizes each bucket), and rounding is a pandas step on the collected
+result.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from spel_ray.state.shuffle import bucketed_groupby, bucketed_join
+from spel_ray.state.shuffle import bucketed_aggregate, bucketed_join
 
 
 def _read(sf_dir: str, table: str, columns: list[str]) -> ray.data.Dataset:
@@ -37,95 +39,55 @@ def _collect(ds: ray.data.Dataset) -> pd.DataFrame:
         ds.schema().base_schema.empty_table().to_pandas()
 
 
-def _count_all() -> pc.CountOptions:
-    # constructed per call INSIDE the UDF: a pyarrow options object captured
-    # at module scope is not cloudpickle-serializable into Ray tasks
-    return pc.CountOptions(mode="all")
-
-
-def _pick(g: pa.Table, mapping: list[tuple[str, str]]) -> pa.Table:
-    """Select TableGroupBy.aggregate output columns by their GENERATED
-    names (``{col}_{fn}``) and rename to the contract names — never by
-    position (key-vs-aggregate placement has differed across pyarrow
-    versions; ADVICE r4 #1)."""
-    return g.select([src for src, _ in mapping]).rename_columns(
-        [dst for _, dst in mapping])
-
-
 # ---------------------------------------------------------------- groupby agg
 def q_lineitem_agg(sf_dir: str) -> pd.DataFrame:
-    """TPC-H Q1-style pricing summary: partial aggregation inside map_batches
-    (one row per key per batch), then a tiny groupby — the pre-aggregate
-    pattern (≙ metric partial+final, reference ``decao_eval.py:1185-1202``)."""
+    """TPC-H Q1-style pricing summary: revenue via Arrow kernels in a map,
+    then one grouped aggregate (per-batch partial, per-bucket final ≙ metric
+    partial+final, reference ``decao_eval.py:1185-1202``)."""
     ds = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_linestatus", "l_quantity",
                 "l_extendedprice", "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        # Arrow-native partial (VERDICT r3 nit #5): revenue via pc kernels,
-        # grouped sums via pa.TableGroupBy — no pandas conversion in the
-        # wide per-batch stage.
+    def revenue(batch: pa.Table) -> pa.Table:
         rev = pc.multiply(batch["l_extendedprice"],
                           pc.subtract(pa.scalar(1.0), batch["l_discount"]))
-        g = batch.append_column("revenue", rev).group_by(
-            ["l_returnflag", "l_linestatus"]).aggregate([
-                ("l_quantity", "sum"), ("l_extendedprice", "sum"),
-                ("revenue", "sum"),
-                # COUNT(*) semantics: pyarrow's default count skips nulls,
-                # which would silently diverge from the oracle on a null
-                ("l_quantity", "count", pc.CountOptions(mode="all"))])
-        # select by GENERATED names, not position: key-vs-aggregate column
-        # placement in TableGroupBy output has moved across pyarrow versions
-        return _pick(g, [("l_returnflag", "l_returnflag"),
-                         ("l_linestatus", "l_linestatus"),
-                         ("l_quantity_sum", "sum_qty"),
-                         ("l_extendedprice_sum", "sum_price"),
-                         ("revenue_sum", "sum_revenue"),
-                         ("l_quantity_count", "n_rows")])
+        return batch.append_column("revenue", rev)
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["l_returnflag", "l_linestatus"], sort=False).agg(
-            sum_qty=("sum_qty", "sum"), sum_price=("sum_price", "sum"),
-            sum_revenue=("sum_revenue", "sum"), n_rows=("n_rows", "sum"),
-        ).reset_index()
-        for c in ("sum_qty", "sum_price", "sum_revenue"):
-            g[c] = g[c].round(2)
-        return g
+    keys = ["l_returnflag", "l_linestatus"]
+    df = bucketed_aggregate(
+        ds.map_batches(revenue, batch_format="pyarrow"), keys,
+        [("sum_qty", "l_quantity", "sum"),
+         ("sum_price", "l_extendedprice", "sum"),
+         ("sum_revenue", "revenue", "sum"), ("n_rows", "l_quantity", "count")],
+        num_buckets=16).to_pandas()
+    for c in ("sum_qty", "sum_price", "sum_revenue"):
+        df[c] = df[c].round(2)
+    return df.sort_values(keys).reset_index(drop=True)
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    out = bucketed_groupby(parts, ["l_returnflag", "l_linestatus"], final,
-                           num_buckets=16)
-    return out.to_pandas().sort_values(
-        ["l_returnflag", "l_linestatus"]).reset_index(drop=True)
+
+def _monthly_totals(sf_dir: str) -> pd.DataFrame:
+    """(o_year, o_month, total_price, n_orders) over every order, unrounded
+    and unsorted."""
+    ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+
+    def year_month(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "o_year": pc.cast(pc.year(batch["o_orderdate"]), pa.int64()),
+            "o_month": pc.cast(pc.month(batch["o_orderdate"]), pa.int64()),
+            "price": batch["o_totalprice"]})
+
+    return bucketed_aggregate(
+        ds.map_batches(year_month, batch_format="pyarrow"),
+        ["o_year", "o_month"],
+        [("total_price", "price", "sum"), ("n_orders", "price", "count")],
+        num_buckets=16).to_pandas()
 
 
 def q_orders_by_month(sf_dir: str) -> pd.DataFrame:
     """Date-part groupby with vectorized Arrow kernels."""
-    ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # Arrow-native partial (VERDICT r4 #6): date-part keys via pc
-        # kernels, grouped sums via pa.TableGroupBy — no pandas conversion
-        t = pa.table({
-            "o_year": pc.cast(pc.year(batch["o_orderdate"]), pa.int64()),
-            "o_month": pc.cast(pc.month(batch["o_orderdate"]), pa.int64()),
-            "price": batch["o_totalprice"]})
-        g = t.group_by(["o_year", "o_month"]).aggregate(
-            [("price", "sum"), ("price", "count", _count_all())])
-        return _pick(g, [("o_year", "o_year"), ("o_month", "o_month"),
-                         ("price_sum", "total_price"),
-                         ("price_count", "n_orders")])
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["o_year", "o_month"], sort=False).agg(
-            total_price=("total_price", "sum"), n_orders=("n_orders", "sum"),
-        ).reset_index()
-        g["total_price"] = g["total_price"].round(2)
-        return g
-
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    out = bucketed_groupby(parts, ["o_year", "o_month"], final, num_buckets=16)
-    return out.to_pandas().sort_values(["o_year", "o_month"]).reset_index(drop=True)
+    df = _monthly_totals(sf_dir)
+    df["total_price"] = df["total_price"].round(2)
+    return df.sort_values(["o_year", "o_month"]).reset_index(drop=True)
 
 
 # ------------------------------------------------------------ filter / project
@@ -167,25 +129,12 @@ def q_customer_nation(sf_dir: str) -> pd.DataFrame:
             "c_acctbal": batch["c_acctbal"],
         })
 
-    joined = ds.map_batches(probe, batch_format="pyarrow")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["n_name", "r_name"]).aggregate(
-            [("c_acctbal", "sum"), ("c_custkey", "count", _count_all())])
-        return _pick(g, [("n_name", "n_name"), ("r_name", "r_name"),
-                         ("c_acctbal_sum", "total_acctbal"),
-                         ("c_custkey_count", "n_customers")])
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["n_name", "r_name"], sort=False).agg(
-            total_acctbal=("total_acctbal", "sum"),
-            n_customers=("n_customers", "sum")).reset_index()
-        g["total_acctbal"] = g["total_acctbal"].round(2)
-        return g
-
-    out = bucketed_groupby(joined.map_batches(partial, batch_format="pyarrow"),
-                           ["n_name", "r_name"], final, num_buckets=16)
-    return out.to_pandas().sort_values(["n_name", "r_name"]).reset_index(drop=True)
+    df = bucketed_aggregate(
+        ds.map_batches(probe, batch_format="pyarrow"), ["n_name", "r_name"],
+        [("total_acctbal", "c_acctbal", "sum"),
+         ("n_customers", "c_custkey", "count")], num_buckets=16).to_pandas()
+    df["total_acctbal"] = df["total_acctbal"].round(2)
+    return df.sort_values(["n_name", "r_name"]).reset_index(drop=True)
 
 
 def q_orders_customer_join(sf_dir: str) -> pd.DataFrame:
@@ -195,24 +144,12 @@ def q_orders_customer_join(sf_dir: str) -> pd.DataFrame:
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     j = bucketed_join(orders, cust, "o_custkey", "c_custkey", how="inner",
                       num_buckets=8)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("c_mktsegment", sort=False).agg(
-            total_price=("o_totalprice", "sum"), n_orders=("o_orderkey", "size")
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("c_mktsegment", sort=False).agg(
-            total_price=("total_price", "sum"),
-            n_orders=("n_orders", "sum")).reset_index()
-        g["total_price"] = g["total_price"].round(2)
-        return g
-
-    out = bucketed_groupby(j.map_batches(partial, batch_format="pyarrow"),
-                           ["c_mktsegment"], final, num_buckets=16)
-    return out.to_pandas().sort_values("c_mktsegment").reset_index(drop=True)
+    df = bucketed_aggregate(
+        j, ["c_mktsegment"], [("total_price", "o_totalprice", "sum"),
+                              ("n_orders", "o_orderkey", "count")],
+        num_buckets=16).to_pandas()
+    df["total_price"] = df["total_price"].round(2)
+    return df.sort_values("c_mktsegment").reset_index(drop=True)
 
 
 # -------------------------------------------------------------- sort / top-k
@@ -236,86 +173,49 @@ def q_top_orders(sf_dir: str) -> pd.DataFrame:
 
 def q_events_window(sf_dir: str) -> pd.DataFrame:
     """Tumbling 1-hour event-time window per event_type (§2.9 streaming
-    analog): vectorized epoch bucketing + partial/final aggregate."""
+    analog): vectorized epoch bucketing + one grouped aggregate."""
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def hour_window(batch: pa.Table) -> pa.Table:
         # µs since epoch → 1h buckets; epochs are post-1970 so truncating
         # int division equals the oracle's floor `//`
         hour = pc.divide(batch["ts"].cast(pa.int64()),
                          pa.scalar(3_600_000_000, pa.int64()))
-        t = pa.table({"event_type": batch["event_type"],
-                      "window_hour": hour, "value": batch["value"]})
-        g = t.group_by(["event_type", "window_hour"]).aggregate(
-            [("value", "sum"), ("value", "count", _count_all())])
-        return _pick(g, [("event_type", "event_type"),
-                         ("window_hour", "window_hour"),
-                         ("value_sum", "total_value"),
-                         ("value_count", "n_events")])
+        return pa.table({"event_type": batch["event_type"],
+                         "window_hour": hour, "value": batch["value"]})
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["event_type", "window_hour"], sort=False).agg(
-            total_value=("total_value", "sum"),
-            n_events=("n_events", "sum")).reset_index()
-        g["total_value"] = g["total_value"].round(2)
-        return g
-
-    out = bucketed_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           ["event_type", "window_hour"], final,
-                           num_buckets=16)
-    return out.to_pandas().sort_values(
-        ["event_type", "window_hour"]).reset_index(drop=True)
+    keys = ["event_type", "window_hour"]
+    df = bucketed_aggregate(
+        ds.map_batches(hour_window, batch_format="pyarrow"), keys,
+        [("total_value", "value", "sum"), ("n_events", "value", "count")],
+        num_buckets=16).to_pandas()
+    df["total_value"] = df["total_value"].round(2)
+    return df.sort_values(keys).reset_index(drop=True)
 
 
 # ------------------------------------------------------------------- distinct
 def q_distinct_flags(sf_dir: str) -> pd.DataFrame:
     """Exact distinct via per-batch unique then global dedup (≙ A8 vocab
-    build, reference ``data_loader.py:380-390``)."""
-    ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"])
-
-    def local_unique(batch: pa.Table) -> pa.Table:
-        # TableGroupBy with no aggregates = vectorized per-batch DISTINCT
-        g = batch.group_by(["l_returnflag", "l_linestatus"]).aggregate([])
-        return _pick(g, [("l_returnflag", "l_returnflag"),
-                         ("l_linestatus", "l_linestatus")])
-
-    out = bucketed_groupby(
-        ds.map_batches(local_unique, batch_format="pyarrow"),
-        ["l_returnflag", "l_linestatus"],
-        lambda df: df.drop_duplicates(["l_returnflag", "l_linestatus"]),
-        num_buckets=16)
-    return out.to_pandas().sort_values(
-        ["l_returnflag", "l_linestatus"]).reset_index(drop=True)
+    build, reference ``data_loader.py:380-390``): a grouped aggregate
+    with no aggregates."""
+    keys = ["l_returnflag", "l_linestatus"]
+    out = bucketed_aggregate(_read(sf_dir, "lineitem", keys), keys, [],
+                             num_buckets=16)
+    return out.to_pandas().sort_values(keys).reset_index(drop=True)
 
 
 def q_part_type_stats(sf_dir: str) -> pd.DataFrame:
     """Multi-aggregate groupby with min/max/mean."""
     ds = _read(sf_dir, "part", ["p_type", "p_retailprice", "p_size"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["p_type"]).aggregate([
-            ("p_retailprice", "min"), ("p_retailprice", "max"),
-            ("p_retailprice", "sum"), ("p_size", "max"),
-            ("p_retailprice", "count", _count_all())])
-        return _pick(g, [("p_type", "p_type"),
-                         ("p_retailprice_min", "min_price"),
-                         ("p_retailprice_max", "max_price"),
-                         ("p_retailprice_sum", "sum_price"),
-                         ("p_size_max", "max_size"),
-                         ("p_retailprice_count", "n_parts")])
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("p_type", sort=False).agg(
-            min_price=("min_price", "min"), max_price=("max_price", "max"),
-            sum_price=("sum_price", "sum"), max_size=("max_size", "max"),
-            n_parts=("n_parts", "sum")).reset_index()
-        for c in ("min_price", "max_price", "sum_price"):
-            g[c] = g[c].round(2)
-        return g
-
-    out = bucketed_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           ["p_type"], final, num_buckets=16)
-    return out.to_pandas().sort_values("p_type").reset_index(drop=True)
+    df = bucketed_aggregate(
+        ds, ["p_type"],
+        [("min_price", "p_retailprice", "min"),
+         ("max_price", "p_retailprice", "max"),
+         ("sum_price", "p_retailprice", "sum"), ("max_size", "p_size", "max"),
+         ("n_parts", "p_retailprice", "count")], num_buckets=16).to_pandas()
+    for c in ("min_price", "max_price", "sum_price"):
+        df[c] = df[c].round(2)
+    return df.sort_values("p_type").reset_index(drop=True)
 
 
 def q_orders_left_join(sf_dir: str) -> pd.DataFrame:
@@ -411,29 +311,9 @@ def q_revenue_rollup(sf_dir: str) -> pd.DataFrame:
     """GROUP BY ROLLUP(year, month) over order revenue — month leaves, year
     subtotals, grand total in one result (rolled-up levels carry the -1
     sentinel instead of NULL so the int64 hash compare stays exact). The
-    leaf aggregate is the usual partial-then-finalize shuffle; the rollup
+    leaf aggregate is the usual grouped aggregate; the rollup
     levels re-aggregate the tiny leaf table, never the input."""
-    ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "o_year": pc.cast(pc.year(batch["o_orderdate"]), pa.int64()),
-            "o_month": pc.cast(pc.month(batch["o_orderdate"]), pa.int64()),
-            "price": batch["o_totalprice"]})
-        g = t.group_by(["o_year", "o_month"]).aggregate(
-            [("price", "sum"), ("price", "count", _count_all())])
-        return _pick(g, [("o_year", "o_year"), ("o_month", "o_month"),
-                         ("price_sum", "total_price"),
-                         ("price_count", "n_orders")])
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["o_year", "o_month"], sort=False).agg(
-            total_price=("total_price", "sum"),
-            n_orders=("n_orders", "sum")).reset_index()
-
-    leaves = bucketed_groupby(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["o_year", "o_month"], final, num_buckets=16).to_pandas()
+    leaves = _monthly_totals(sf_dir)
     # rollup levels from the (tiny) leaf table — sum in sorted leaf order
     # on BOTH sides so the float partial sums agree bit-for-bit
     leaves = leaves.sort_values(["o_year", "o_month"]).reset_index(drop=True)

@@ -30,6 +30,7 @@ from functools import partial
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from spel_ray.config import LinkageConfig
@@ -214,25 +215,24 @@ def elect_band_carriers(records: ray.data.Dataset, cfg: LinkageConfig,
     ``ray.put`` handle to {carrier_key: carrier_row_id} (None when the map
     would exceed cfg.max_carrier_broadcast — suppression is then skipped
     rather than risking driver memory)."""
-    import pandas as pd
     import ray as _ray
 
-    from spel_ray.state.shuffle import bucketed_groupby
+    from spel_ray.state.shuffle import bucketed_aggregate
 
     def slim(batch: pa.Table) -> pa.Table:
         keys = carrier_keys(batch["lang"], batch["content_sha256"])
         return pa.table({"carrier_key": pa.array(keys, pa.int64()),
                          "row_id": batch["row_id"]})
 
-    def elect(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("carrier_key", sort=False)["row_id"].agg(["min", "size"])
-        g = g[g["size"] >= 2]
-        return pd.DataFrame({"carrier_key": g.index.to_numpy(),
-                             "carrier": g["min"].to_numpy()})
+    def duplicated(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.greater_equal(batch["size"], 2)) \
+                    .select(["carrier_key", "carrier"])
 
-    carriers_ds = bucketed_groupby(
-        records.map_batches(slim, batch_format="pyarrow"),
-        "carrier_key", elect, num_buckets=num_buckets)
+    carriers_ds = bucketed_aggregate(
+        records.map_batches(slim, batch_format="pyarrow"), ["carrier_key"],
+        [("carrier", "row_id", "min"), ("size", "row_id", "count")],
+        num_buckets=num_buckets).map_batches(duplicated,
+                                             batch_format="pyarrow")
     n = carriers_ds.count()
     if n == 0 or n > cfg.max_carrier_broadcast:
         return None

@@ -36,7 +36,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from spel_ray.state.shuffle import bucketed_groupby, pair_key
+from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_groupby,
+                                    pair_key)
 
 _EMPTY_EDGES = pd.DataFrame({"lo": pd.Series(dtype="int64"),
                              "hi": pd.Series(dtype="int64")})
@@ -171,12 +172,6 @@ def assign_clusters(records: ray.data.Dataset, star_edges: ray.data.Dataset,
         self_label, batch_format="pyarrow")
     from_edges = star_edges.map_batches(edge_label, batch_format="pyarrow")
 
-    def min_label(bucket: pa.Table) -> pa.Table:
-        # Arrow in / Arrow out: both columns stay int64, no pandas trip
-        g = bucket.group_by("row_id", use_threads=False).aggregate(
-            [("cluster_id", "min")])
-        return pa.table({"row_id": g["row_id"],
-                         "cluster_id": g["cluster_id_min"]})
-
-    return bucketed_groupby(base.union(from_edges), "row_id", min_label,
-                            num_buckets=num_buckets, batch_format="pyarrow")
+    return bucketed_aggregate(base.union(from_edges), ["row_id"],
+                              [("cluster_id", "cluster_id", "min")],
+                              num_buckets=num_buckets)

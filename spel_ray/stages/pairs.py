@@ -15,10 +15,12 @@ block, then merge duplicate pairs". Both halves are written once, here:
   a hot key at O(n) instead of O(n²). Chain pairs carry ``capped=True`` so
   the cap is observable, not silent.
 - **Pair merge** (:func:`merge_pairs`). A pair colliding in several blocks
-  is emitted once per shared block; one Arrow bucketed groupby on
-  ``(id_lo, id_hi)`` folds it to one row with the caller's aggregates (the
-  flagship keeps max score / any exact and counts supporting blocks) — the
-  engine's analog of the reference's overlapping-chunk conflict vote
+  is emitted once per shared block; the engine's one grouped aggregate
+  (``state/shuffle.bucketed_aggregate`` on ``(id_lo, id_hi)``: a per-batch
+  partial, then a per-bucket final) folds it to one row with the caller's
+  aggregates (the flagship keeps max score / any exact and counts
+  supporting blocks) — the engine's analog of the reference's
+  overlapping-chunk conflict vote
   (reference ``utils.py:230-251``, ``:316-328``).
 
 The flagship scores inside pair-gen: the MinHash-Jaccard estimate needs only
@@ -38,7 +40,7 @@ import ray.data
 from spel_ray.config import LinkageConfig
 from spel_ray.extension import get_scorer
 from spel_ray.stages.minhash import fixed_binary_view, sig_dtype
-from spel_ray.state.shuffle import bucketed_groupby
+from spel_ray.state.shuffle import bucketed_aggregate, bucketed_groupby
 
 # one scored candidate pair, as pair-gen emits it (the merge adds n_blocks)
 PAIR_SCHEMA = pa.schema([
@@ -47,7 +49,7 @@ PAIR_SCHEMA = pa.schema([
     ("capped", pa.bool_()),
 ])
 
-# the flagship's duplicate-pair vote: (output, input column, Arrow aggregate);
+# the flagship's duplicate-pair vote: (output, input column, aggregate fn);
 # capped takes MIN so uncapped evidence wins if any block was enumerated in full
 PAIR_MERGE = [("block_key", "block_key", "min"), ("jac", "jac", "max"),
               ("exact", "exact", "max"), ("score", "score", "max"),
@@ -96,25 +98,14 @@ def bucket_pairs(keys, ids, cap: int):
     return np.concatenate(lo), np.concatenate(hi), np.concatenate(capped)
 
 
-def merge_bucket(t: pa.Table, aggs) -> pa.Table:
-    """One bucket of pairs → one row per ``(id_lo, id_hi)``. ``aggs``:
-    ``(output, input column, Arrow hash aggregate)`` triples, in output
-    order. Typed even when the bucket is empty."""
-    g = t.group_by(["id_lo", "id_hi"], use_threads=False).aggregate(
-        [(col, fn) for _, col, fn in aggs])
-    return pa.table([g["id_lo"], g["id_hi"]]
-                    + [g[f"{col}_{fn}"] for _, col, fn in aggs],
-                    names=["id_lo", "id_hi"] + [out for out, _, _ in aggs])
-
-
 def merge_pairs(pairs: ray.data.Dataset, aggs, *,
                 num_buckets: int) -> ray.data.Dataset:
     """Pairs (``id_lo < id_hi`` plus payload) → one row per pair, aggregated
-    by ``aggs`` (see :func:`merge_bucket`) in one exchange keyed on the pair
+    by ``aggs`` (``(output, input column, fn)`` triples, see
+    ``state/shuffle.merge_bucket``) in one exchange keyed on the pair
     itself."""
-    return bucketed_groupby(pairs, ["id_lo", "id_hi"],
-                            partial(merge_bucket, aggs=aggs),
-                            num_buckets=num_buckets, batch_format="pyarrow")
+    return bucketed_aggregate(pairs, ["id_lo", "id_hi"], aggs,
+                              num_buckets=num_buckets)
 
 
 def gen_and_score_bucket(t: pa.Table, cfg: LinkageConfig, scorer) -> pa.Table:

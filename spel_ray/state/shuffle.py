@@ -1,15 +1,21 @@
-"""Bucketed shuffle — the engine's one wide exchange, and the joins built on it.
+"""Bucketed shuffle — the engine's one wide exchange, and the grouped
+aggregate and joins built on it.
 
-Primitives (no other module shuffles, tags or joins by hand):
+Primitives (no other module shuffles, tags, aggregates or joins by hand):
 
 - ``add_bucket_column`` — THE bucket hash: one key column or a list of them
-  (int-like or string) → uniform id in ``[0, num_buckets)``.
+  (int-like, float or string) → uniform id in ``[0, num_buckets)``.
 - ``bucketed_groupby(ds, key, fn)`` — the only exchange: key →
   ``hash(key) % num_buckets`` → one sort shuffle on the small bucket id →
   ``fn`` receives an entire bucket as ONE pandas DataFrame / Arrow table and
   handles all its groups vectorized. ``groupby(key).map_groups(fn)`` would
   call ``fn`` once per distinct key; with millions of tiny groups (LSH
   blocks, pair keys, graph nodes) that per-group Python overhead dominates.
+- ``bucketed_aggregate(ds, keys, aggs)`` — SQL ``GROUP BY`` with
+  decomposable aggregates (sum / min / max / COUNT(*)): the Ray-free Arrow
+  kernel ``merge_bucket`` runs once per input batch as the partial, then
+  once per bucket with the partials' merge functions as the final
+  (≙ metric partial + final, reference ``decao_eval.py:1185-1202``).
 - ``cogroup(left, right, left_on, right_on, fn)`` — co-partitions two
   datasets on an integer key: ``fn(left_tbl, right_tbl)`` runs once per
   bucket, each side under its own column names.
@@ -44,11 +50,21 @@ JOIN_KINDS = ("inner", "left", "full", "semi", "anti")
 _RESERVED = ("_bucket", "_key", "_l", "_r")
 
 
+def _canon_float(col: pa.Array) -> pa.Array:
+    """Fold -0.0 into +0.0 and every NaN into one NaN: floats that SQL
+    groups together share one bit pattern, so they hash and group alike."""
+    col = pc.add(col, pa.scalar(0, col.type))
+    return pc.if_else(pc.is_nan(col), pa.scalar(np.nan, col.type), col)
+
+
 def _key_u64(col) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
         return stable_str_hash(col.to_pylist()).view(np.uint64)
+    if pa.types.is_floating(col.type):
+        col = _canon_float(col).cast(pa.float64()).fill_null(0.0)
+        return np.asarray(col).view(np.uint64)
     if col.type != pa.int64() or col.null_count:
         col = col.cast(pa.int64()).fill_null(0)
     return np.asarray(col).view(np.uint64)
@@ -80,9 +96,9 @@ def bucketed_groupby(
 ) -> ray.data.Dataset:
     """Shuffle rows by hash(key) into ``num_buckets`` groups; ``fn`` gets each
     bucket as one DataFrame / Arrow table (bucket column removed) and must
-    itself group by ``key`` vectorized. With a list key this is the final
-    combine of per-batch partial aggregates: every group lands wholly in one
-    bucket, so a plain ``df.groupby(key).agg(...)`` per bucket is final.
+    itself group by ``key`` vectorized. Every group lands wholly in one
+    bucket, so per-bucket work is final; a GROUP BY with sum / min / max /
+    count is :func:`bucketed_aggregate`.
 
     Use ``batch_format="pyarrow"`` whenever a bucket may contain null int64
     ids — the pandas conversion would silently promote those columns to
@@ -110,6 +126,69 @@ def _named(run: Callable, fn: Callable) -> Callable:
     base = fn.func if isinstance(fn, partial) else fn
     run.__name__ = getattr(base, "__name__", run.__name__)
     return run
+
+
+# ------------------------------------------------------------ aggregate
+# partial fn → the fn that merges its partials (COUNT(*) partials are summed)
+_MERGE = {"sum": "sum", "min": "min", "max": "max", "count": "sum"}
+
+
+def _row_order(schema: pa.Schema, keys: list[str]) -> list[str]:
+    """``keys`` in the order Arrow's row encoder lays them out: wider
+    fixed-width keys first, a variable-length key (a 4-byte offset) after a
+    4-byte fixed one, bool last. pyarrow 16's grouper misplaces null keys
+    when given any other order (a string key before an int64 key splits one
+    ``(NULL, 1)`` group in two), so :func:`merge_bucket` groups in this
+    order."""
+    def width(k: str) -> tuple[int, bool]:
+        try:
+            return -(schema.field(k).type.bit_width // 8), False
+        except ValueError:              # variable-length
+            return -4, True
+    return sorted(keys, key=width)
+
+
+def merge_bucket(t: pa.Table, keys: list[str], aggs) -> pa.Table:
+    """One Arrow ``GROUP BY keys`` of a batch or bucket, Ray-free. ``aggs``:
+    ``(output, input column, fn)`` triples, ``fn`` one of ``sum`` / ``min``
+    / ``max`` / ``count`` (COUNT(*)). Output: the keys, then the outputs in
+    ``aggs`` order; a null key is its own group, float keys group -0.0 with
+    +0.0 and NaN with NaN. Typed even when ``t`` is empty."""
+    for k in keys:
+        if pa.types.is_floating(t.schema.field(k).type):
+            t = t.set_column(t.schema.get_field_index(k), k,
+                             _canon_float(t[k].combine_chunks()))
+    # Arrow names each aggregate column {col}_{fn}; one per distinct name
+    names = ["count_all" if fn == "count" else f"{col}_{fn}"
+             for _, col, fn in aggs]
+    specs = {n: ([], "count_all") if fn == "count" else (col, fn)
+             for n, (_, col, fn) in zip(names, aggs)}
+    g = t.group_by(_row_order(t.schema, keys), use_threads=False) \
+         .aggregate(list(specs.values()))
+    return pa.table([g[k] for k in keys] + [g[n] for n in names],
+                    names=keys + [out for out, _, _ in aggs])
+
+
+def bucketed_aggregate(ds: ray.data.Dataset, keys: list[str], aggs, *,
+                       num_buckets: int) -> ray.data.Dataset:
+    """SQL ``SELECT keys, aggs GROUP BY keys`` in one exchange:
+    :func:`merge_bucket` pre-aggregates every input batch, the partials
+    shuffle on ``keys``, and :func:`merge_bucket` with each partial's merge
+    function (sum→sum, count→sum, min→min, max→max) finalizes each bucket.
+    Empty ``aggs`` is ``SELECT DISTINCT keys``. The result is Arrow-typed.
+
+    Raises ValueError (on the driver) for an aggregate other than sum, min,
+    max or count."""
+    for _, _, fn in aggs:
+        if fn not in _MERGE:
+            raise ValueError(f"aggregate fn must be one of {sorted(_MERGE)}, "
+                             f"got {fn!r}")
+    final = [(out, out, _MERGE[fn]) for out, _, fn in aggs]
+    parts = ds.map_batches(partial(merge_bucket, keys=keys, aggs=aggs),
+                           batch_format="pyarrow")
+    return bucketed_groupby(parts, keys,
+                            partial(merge_bucket, keys=keys, aggs=final),
+                            num_buckets=num_buckets, batch_format="pyarrow")
 
 
 # ------------------------------------------------------------ two-sided

@@ -60,6 +60,37 @@ def test_query_matches_oracle(con, name):
                                   atol=1e-6, rtol=1e-9)
 
 
+def test_null_group_keys_match_the_oracle(tmp_path):
+    """A NULL group key is its own group, as in the oracle's GROUP BY (a
+    pandas final would drop it)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    flags = ["A", None, "A", "N", None, "R"]
+    pq.write_table(pa.table({
+        "l_returnflag": pa.array(flags, pa.string()),
+        "l_linestatus": pa.array(["F", "O", None, None, "O", "F"],
+                                 pa.string()),
+        "l_quantity": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        "l_extendedprice": [10.0, 20.0, 30.0, 40.0, 50.0, 60.0],
+        "l_discount": [0.0, 0.1, 0.2, 0.0, 0.05, 0.1],
+    }), tmp_path / "lineitem.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(5), pa.int64()),
+        "lang": pa.array(["en", None, "en", None, "de"], pa.string()),
+    }), tmp_path / "documents.parquet")
+    c = duckdb.connect()
+    for t in ("lineitem", "documents"):
+        c.execute(f"CREATE VIEW {t} AS SELECT * "
+                  f"FROM read_parquet('{tmp_path}/{t}.parquet')")
+    for name in ("lineitem_agg", "lang_distribution"):
+        mine = _canon(entrymod.queries()[name](str(tmp_path)))
+        oracle = _canon(c.execute(entrymod.oracle_sql()[name]).fetchdf())
+        assert mine.isna().any().any(), name
+        pd.testing.assert_frame_equal(mine, oracle, check_dtype=False,
+                                      atol=1e-6, rtol=1e-9)
+
+
 def test_rows_only_queries_run():
     qs = entrymod.queries()
     for name in ["langid", "minhash_dedup_docs", "ann_topk_lsh",

@@ -1,10 +1,16 @@
-"""Guards for three "one copy" rules.
+"""Guards for the "one copy" rules.
 
 - One exchange: every shuffle, two-sided tag and join lives in
   ``spel_ray/state/shuffle.py`` (``bucketed_groupby`` / ``cogroup`` /
   ``bucketed_join``). Any other module that calls ``Dataset.join``, builds a
   ``"_side"`` tag or calls ``.groupby(...).map_groups`` fails unless it is
   allowlisted below with its reason.
+- One grouped aggregate and one bucket hash: an Arrow
+  ``.group_by(...).aggregate(...)`` and ``stable_str_hash`` appear only in
+  ``spel_ray/state/shuffle.py`` (``bucketed_aggregate`` /
+  ``add_bucket_column``); other modules aggregate and route through them.
+  Every function handed to an exchange is a named ``def``, never a
+  ``lambda``, so a plan's stats name each exchange.
 - One committer: ``"manifest.json"`` and the ``os.replace`` commit appear only
   in ``spel_ray/state/checkpoint.py`` (``CheckpointedRun.run_stage``); other
   modules checkpoint through it.
@@ -110,6 +116,42 @@ def _pair_kernels(tree: ast.AST):
     return found
 
 
+EXCHANGE_CALLS = ("bucketed_groupby", "bucketed_aggregate", "cogroup")
+
+
+def _aggregates(tree: ast.AST):
+    """(function, line, what) for every Arrow grouped aggregate or routing
+    hash."""
+    found = []
+    for func, node in _nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "aggregate" \
+                and isinstance(node.func.value, ast.Call) \
+                and isinstance(node.func.value.func, ast.Attribute) \
+                and node.func.value.func.attr == "group_by":
+            found.append((func, node.lineno, ".group_by().aggregate"))
+        if (isinstance(node, ast.Name) and node.id == "stable_str_hash") or \
+                (isinstance(node, ast.alias)
+                 and node.name == "stable_str_hash"):
+            found.append((func, getattr(node, "lineno", 0),
+                          "stable_str_hash"))
+    return found
+
+
+def _exchange_lambdas(tree: ast.AST):
+    """(function, line, callee) for every exchange call given a lambda."""
+    found = []
+    for func, node in _nodes(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+        args = list(node.args) + [kw.value for kw in node.keywords]
+        if callee in EXCHANGE_CALLS \
+                and any(isinstance(a, ast.Lambda) for a in args):
+            found.append((func, node.lineno, callee))
+    return found
+
+
 def _modules():
     for path in sorted(PKG.rglob("*.py")):
         yield path.relative_to(PKG).as_posix(), ast.parse(path.read_text())
@@ -152,6 +194,33 @@ def test_only_pair_module_enumerates_pairs():
     assert not bad, ("hand-rolled pair enumeration or pair merge outside "
                      "stages/pairs.py — use block_pairs / bucket_pairs / "
                      "merge_pairs:\n" + "\n".join(bad))
+
+
+def _outside_shuffle(what: str) -> list[str]:
+    return [f"spel_ray/{mod}:{line} ({func}): {w}"
+            for mod, tree in _modules() if mod != EXCHANGE
+            for func, line, w in _aggregates(tree) if w == what]
+
+
+def test_only_shuffle_module_aggregates():
+    bad = _outside_shuffle(".group_by().aggregate")
+    assert not bad, ("hand-rolled grouped aggregate outside state/shuffle.py "
+                     "— use bucketed_aggregate:\n" + "\n".join(bad))
+
+
+def test_only_shuffle_module_hashes_keys():
+    bad = _outside_shuffle("stable_str_hash")
+    assert not bad, ("hand-rolled routing hash outside state/shuffle.py — "
+                     "key the exchange on the column itself:\n"
+                     + "\n".join(bad))
+
+
+def test_exchange_functions_are_named():
+    bad = []
+    for mod, tree in _modules():
+        bad += [f"spel_ray/{mod}:{line} ({func}): lambda passed to {callee}"
+                for func, line, callee in _exchange_lambdas(tree)]
+    assert not bad, ("pass a named def to the exchange:\n" + "\n".join(bad))
 
 
 def test_allowlist_entries_are_live():

@@ -13,10 +13,11 @@ import ray.data as rd
 from spel_ray.config import LinkageConfig
 from spel_ray.extension import get_scorer
 from spel_ray.stages.pairs import (PAIR_MERGE, PAIR_SCHEMA, block_pairs,
-                                   bucket_pairs, gen_and_score_bucket,
-                                   merge_bucket)
+                                   bucket_pairs, gen_and_score_bucket)
+from spel_ray.state.shuffle import merge_bucket
 
 CFG = LinkageConfig(max_block_pairs_n=4)
+PAIR_KEYS = ["id_lo", "id_hi"]
 
 
 def _block_rows(block_key, ids, sig_fill):
@@ -82,7 +83,8 @@ def test_merge_vote_max_score_wins():
         "score": [0.5, 0.9, 1.0, 0.2],
         "capped": [True, False, False, False],
     })
-    out = merge_bucket(t, PAIR_MERGE).to_pandas().set_index(["id_lo", "id_hi"])
+    out = merge_bucket(t, PAIR_KEYS, PAIR_MERGE).to_pandas() \
+        .set_index(["id_lo", "id_hi"])
     r = out.loc[(1, 2)]
     assert r["score"] == 1.0 and r["jac"] == 0.9 and bool(r["exact"])
     assert r["n_blocks"] == 3
@@ -153,12 +155,12 @@ def test_merge_bucket_matches_a_dict_fold():
         f["score"] = max(f["score"], r["score"])
         f["capped"] = f["capped"] and r["capped"]
         f["n_blocks"] += 1
-    out = merge_bucket(t, PAIR_MERGE)
+    out = merge_bucket(t, PAIR_KEYS, PAIR_MERGE)
     assert out.schema == PAIR_SCHEMA.append(pa.field("n_blocks", pa.int64()))
     got = {(r.pop("id_lo"), r.pop("id_hi")): r for r in out.to_pylist()}
     assert got == fold
 
-    empty = merge_bucket(t.slice(0, 0), PAIR_MERGE)
+    empty = merge_bucket(t.slice(0, 0), PAIR_KEYS, PAIR_MERGE)
     assert empty.num_rows == 0 and empty.schema == out.schema
 
 
