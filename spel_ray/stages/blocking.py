@@ -233,6 +233,8 @@ def elect_band_carriers(records: ray.data.Dataset, cfg: LinkageConfig,
         [("carrier", "row_id", "min"), ("size", "row_id", "count")],
         num_buckets=num_buckets).map_batches(duplicated,
                                              batch_format="pyarrow")
+    # one execution: count() and to_pandas() would each run the plan
+    carriers_ds = carriers_ds.materialize()
     n = carriers_ds.count()
     if n == 0 or n > cfg.max_carrier_broadcast:
         return None

@@ -288,7 +288,7 @@ def blocking_quality(records: ray.data.Dataset, pairs: ray.data.Dataset,
     """
     from spel_ray.config import LinkageConfig
     from spel_ray.extension import get_scorer
-    from spel_ray.stages.minhash import MinHasher, sig_dtype
+    from spel_ray.stages.minhash import MinHasher, fixed_binary_view, sig_dtype
 
     cfg = cfg or LinkageConfig()
     mult = np.uint64(2654435761)
@@ -322,13 +322,11 @@ def blocking_quality(records: ray.data.Dataset, pairs: ray.data.Dataset,
         .reset_index(drop=True)
     s = len(parts)
 
-    mh = MinHasher(cfg)
     dt = sig_dtype(cfg)
-    texts = parts["norm_content"].fillna("").tolist()
-    sigs = np.stack([mh.signature(t).astype(dt) for t in texts]) \
-        if s else np.zeros((0, cfg.num_perm), dt)
-    toks = np.stack([mh.token_signature(t).astype(dt) for t in texts]) \
-        if s else np.zeros((0, cfg.num_perm_tok), dt)
+    sketched = MinHasher(cfg)(pa.table(
+        {"norm_content": pa.array(parts["norm_content"], pa.string())}))
+    sigs = fixed_binary_view(sketched["sig"], cfg.num_perm, dt)
+    toks = fixed_binary_view(sketched["sig_tok"], cfg.num_perm_tok, dt)
     n_chars = parts["n_chars"].to_numpy(np.int64)
     sha = parts["content_sha256"].to_numpy()
 

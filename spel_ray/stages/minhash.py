@@ -9,20 +9,29 @@ candidate-set restriction (``candidate_manager.py:76-103``).
 Implementation notes (all public-knowledge techniques — Broder '97 MinHash,
 Leskovec et al. MMDS ch.3 LSH banding):
 
-- char-k shingles are hashed with a vectorized polynomial rolling hash over
-  the UTF-8 bytes (sliding_window_view × power vector, uint64 wraparound);
+- char-k shingles are hashed with a polynomial rolling hash over the UTF-8
+  bytes (base 257, uint64 wraparound) and an xorshift finalizer;
 - ``num_perm`` permutations are the standard universal family
-  ``h_i(x) = a_i * x + b_i (mod 2^64)`` with seeded odd multipliers, applied
-  as one (P × S) numpy broadcast per row, min along shingles;
+  ``h_i(x) = a_i * x + b_i (mod 2^64)`` with seeded odd multipliers, min
+  over each record's shingles;
 - band keys are ``b{band}:{hash(sig[band*r:(band+1)*r])}`` so distinct bands
   never collide with each other.
 
-Per-batch cost is one Python loop over rows with all inner work in numpy —
-the same shape as the reference's per-document tensor ops, and the loop body
-is O(len(content)) with small constants.
+One batch kernel (:meth:`MinHasher.minima`) sketches a whole Arrow column
+straight from its buffers: each distinct text once (dictionary-encode, then
+gather back by index), one rolling hash over the concatenated bytes of a
+chunk of rows, and per permutation one pass over every window of the chunk
+followed by a segmented min (``np.minimum.reduceat`` at the row starts).
+The Python loops run over permutations and chunks, not rows; only token
+extraction (``re.findall``) stays per distinct text. The per-text methods
+(``signature``, ``token_signature``, ``shingle_hashes``) are views of the
+same kernel.
 """
 
 from __future__ import annotations
+
+import hashlib
+from itertools import chain
 
 import numpy as np
 import pyarrow as pa
@@ -30,6 +39,58 @@ import pyarrow as pa
 from spel_ray.config import LinkageConfig
 
 _EMPTY_SENTINEL = np.uint64(0x9E3779B97F4A7C15)
+
+# Shingle windows per kernel chunk. Each uint64 work array is then 512 KiB,
+# so the per-permutation passes run in L2 cache: on the 4k-row bench table
+# (single-threaded, Xeon) the sketch took 0.44-0.52 s at 2^16 windows,
+# 0.56-0.58 s at 2^18 and 0.88-0.95 s at 2^22 (32 MiB arrays). A row with
+# more windows forms its own chunk.
+_CHUNK_WINDOWS = 1 << 16
+
+
+def _bytes_and_offsets(col: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(uint8 data, int64 offsets) of a null-free string array: row i is
+    ``data[offsets[i]:offsets[i + 1]]``."""
+    large = pa.types.is_large_string(col.type)
+    offs = np.frombuffer(col.buffers()[1], np.int64 if large else np.int32)
+    offs = offs[col.offset: col.offset + len(col) + 1].astype(np.int64)
+    buf = col.buffers()[2]
+    data = np.frombuffer(buf, np.uint8) if buf is not None \
+        else np.zeros(0, np.uint8)
+    return data, offs
+
+
+def _text_bytes(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """One text as a one-row (data, offsets) kernel input."""
+    b = np.frombuffer(text.encode("utf-8", errors="ignore"), np.uint8)
+    return b, np.array([0, len(b)], np.int64)
+
+
+def _token_vocab(toks: list, vocab: dict) -> np.ndarray:
+    """uint64 hash of each token: the little-endian first 8 bytes of its md5,
+    bit-identical to DuckDB's ``md5_number_upper`` (the same cross-engine
+    oracle-able scheme as the SimHash word hash and the shingle
+    fingerprints). md5 was 27-30% of the per-row sketch, so it runs once per
+    distinct token of the batch: ``vocab`` lives for one kernel call. The
+    ``None`` marker of a row without tokens hashes to ``_EMPTY_SENTINEL``."""
+    for t in set(toks).difference(vocab):
+        vocab[t] = int(_EMPTY_SENTINEL) if t is None else \
+            int.from_bytes(hashlib.md5(t).digest()[:8], "little")
+    return np.fromiter(map(vocab.__getitem__, toks), np.uint64, len(toks))
+
+
+def _segment_min(x: np.ndarray, starts: np.ndarray, A: np.ndarray,
+                 B: np.ndarray) -> np.ndarray:
+    """(rows, P) uint64: per row, the min of ``A[p] * x + B[p]`` over its
+    segment ``x[starts[i]:starts[i + 1]]`` (every segment non-empty). One
+    pass over all rows per permutation."""
+    out = np.empty((len(A), len(starts)), np.uint64)
+    v = np.empty_like(x)
+    for p in range(len(A)):
+        np.multiply(x, A[p], out=v)
+        v += B[p]
+        np.minimum.reduceat(v, starts, out=out[p])
+    return out.T
 
 
 class MinHasher:
@@ -56,56 +117,95 @@ class MinHasher:
                                   dtype=np.uint64)
         self.token_re = re.compile(rb"[A-Za-z_][A-Za-z_0-9]*|\d+")
 
-    def shingle_hashes(self, text: str) -> np.ndarray:
-        """Unique uint64 hashes of the char-k shingles of ``text``."""
+    def _shingles(self, data: np.ndarray, offs: np.ndarray):
+        """(window hashes, row starts) of the char-k shingles of the rows
+        ``data[offs[i]:offs[i + 1]]`` (contiguous). A row shorter than k is
+        zero-padded to exactly one window. Windows are not deduplicated: the
+        min over a multiset equals the min over its set."""
         k = self.cfg.shingle_k
-        b = np.frombuffer(text.encode("utf-8", errors="ignore"), dtype=np.uint8)
-        if len(b) < k:  # incl. empty: pad to exactly one window (must agree
-            # with batch_char_signatures' padding)
-            pad = np.zeros(k, dtype=np.uint8)
-            pad[: len(b)] = b
-            b = pad
-        win = np.lib.stride_tricks.sliding_window_view(b, k).astype(np.uint64)
-        h = (win * self.powers[None, :]).sum(axis=1, dtype=np.uint64)
+        lens = np.diff(offs)
+        b = data[offs[0]:offs[-1]]
+        short = np.flatnonzero(lens < k)
+        if len(short):
+            b = np.insert(b, np.repeat(offs[short + 1] - offs[0],
+                                       k - lens[short]), 0)
+        b = b.astype(np.uint64)
+        n_win = len(b) - k + 1
+        h = b[:n_win] * self.powers[0]
+        tmp = np.empty_like(h)
+        for t in range(1, k):
+            np.multiply(b[t:t + n_win], self.powers[t], out=tmp)
+            h += tmp
         # xorshift finalizer for better low-bit mixing
         h ^= h >> np.uint64(33)
         h *= np.uint64(0xFF51AFD7ED558CCD)
         h ^= h >> np.uint64(33)
-        return np.unique(h)
+        # drop the k-1 windows that straddle each row boundary
+        row_starts = np.concatenate(([0], np.cumsum(np.maximum(lens, k))[:-1]))
+        keep = np.ones(n_win, bool)
+        keep[(row_starts[1:, None] - k + 1 + np.arange(k - 1)).ravel()] = False
+        return h[keep], row_starts - np.arange(len(lens)) * (k - 1)
+
+    def _tokens(self, data: np.ndarray, offs: np.ndarray, vocab: dict):
+        """(token hashes, row starts) of each row's distinct
+        identifier/number tokens — the engine's word-level view (≙ the
+        reference's word granularity above subwords,
+        ``span_annotation.py:66-121``). A row without tokens gets the one
+        hash ``_EMPTY_SENTINEL``."""
+        mv = memoryview(data)
+        toks = [set(self.token_re.findall(mv[a:b])) or (None,)
+                for a, b in zip(offs[:-1].tolist(), offs[1:].tolist())]
+        counts = np.fromiter(map(len, toks), np.int64, len(toks))
+        h = _token_vocab(list(chain.from_iterable(toks)), vocab)
+        return h, np.cumsum(counts) - counts
+
+    def _sketch(self, data: np.ndarray, offs: np.ndarray):
+        """(rows, num_perm) and (rows, num_perm_tok) uint64 minima of the
+        rows ``data[offs[i]:offs[i + 1]]``, in chunks of at most
+        ``_CHUNK_WINDOWS`` shingle windows."""
+        cfg, k = self.cfg, self.cfg.shingle_k
+        m = len(offs) - 1
+        sig = np.empty((m, cfg.num_perm), np.uint64)
+        tok = np.empty((m, cfg.num_perm_tok), np.uint64)
+        ends = np.cumsum(np.maximum(np.diff(offs), k) - k + 1)
+        vocab: dict = {}
+        r0 = 0
+        while r0 < m:
+            done = ends[r0 - 1] if r0 else 0
+            r1 = max(int(np.searchsorted(ends, done + _CHUNK_WINDOWS,
+                                         side="right")), r0 + 1)
+            chunk = offs[r0:r1 + 1]
+            sig[r0:r1] = _segment_min(*self._shingles(data, chunk),
+                                      self.A, self.B)
+            tok[r0:r1] = _segment_min(*self._tokens(data, chunk, vocab),
+                                      self.At, self.Bt)
+            r0 = r1
+        return sig, tok
+
+    def minima(self, texts: pa.Array | pa.ChunkedArray):
+        """(n, num_perm) and (n, num_perm_tok) uint64 MinHash minima of a
+        string column, null read as empty — THE sketch kernel.
+        Each distinct text is sketched once and gathered back by its
+        dictionary index."""
+        if isinstance(texts, pa.ChunkedArray):
+            texts = texts.combine_chunks()
+        enc = texts.fill_null(pa.scalar("", texts.type)).dictionary_encode()
+        sig, tok = self._sketch(*_bytes_and_offsets(enc.dictionary))
+        idx = np.asarray(enc.indices)
+        return sig[idx], tok[idx]
+
+    def shingle_hashes(self, text: str) -> np.ndarray:
+        """Unique uint64 hashes of the char-k shingles of ``text``."""
+        return np.unique(self._shingles(*_text_bytes(text))[0])
 
     def signature(self, text: str) -> np.ndarray:
         """(num_perm,) uint64 MinHash signature."""
-        h = self.shingle_hashes(text)
-        # (P, S) broadcast, min over shingles
-        m = self.A[:, None] * h[None, :] + self.B[:, None]
-        return m.min(axis=1)
-
-    def token_hashes(self, text: str) -> np.ndarray:
-        """Unique uint64 hashes of identifier/number tokens — the engine's
-        word-level view (≙ the reference's word granularity above subwords,
-        ``span_annotation.py:66-121``).
-
-        Hash = little-endian first 8 bytes of md5, bit-identical to DuckDB's
-        ``md5_number_upper`` — the same cross-engine-oracle-able scheme as
-        the SimHash word hash and the shingle fingerprints. Token sets are
-        tiny per document, so md5-vs-crc32 cost is irrelevant here (the
-        char-shingle sketch is the hot path)."""
-        import hashlib
-
-        toks = set(self.token_re.findall(text.encode("utf-8", errors="ignore")))
-        if not toks:
-            return np.array([_EMPTY_SENTINEL], dtype=np.uint64)
-        return np.fromiter(
-            (int.from_bytes(hashlib.md5(t).digest()[:8], "little")
-             for t in toks),
-            dtype=np.uint64, count=len(toks))
+        return self._sketch(*_text_bytes(text))[0][0]
 
     def token_signature(self, text: str) -> np.ndarray:
         """(num_perm_tok,) uint64 MinHash over the token set — a colocated
         stand-in for exact token Jaccard at pair-scoring time."""
-        h = self.token_hashes(text)
-        m = self.At[:, None] * h[None, :] + self.Bt[:, None]
-        return m.min(axis=1)
+        return self._sketch(*_text_bytes(text))[1][0]
 
     def band_hashes(self, sig: np.ndarray) -> np.ndarray:
         """(bands,) uint64 — one hash per LSH band of the signature."""
@@ -120,38 +220,23 @@ class MinHasher:
     # default — estimate bias ~1.5e-5, far below the decision margin),
     # while the exploded shuffle payload shrinks proportionally.
     #
-    # Note: a fully batch-vectorized variant (concatenated window hashes +
-    # per-permutation minimum.reduceat) was measured 3× SLOWER than this
-    # per-row loop — the loop body is already one contiguous (P×S) numpy
-    # broadcast-min, which beats reduceat's per-segment overhead.
+    # Kernel shape, measured single-threaded on the 4k-row bench table: the
+    # per-row loop (encode, sliding window, np.unique, a (P × S)
+    # broadcast-min, md5 per token) took 1.53-1.75 s; this kernel, a 1-D
+    # pass + reduceat per permutation over cache-sized chunks, 0.44-0.52 s.
+    # An (S × P) matrix reduced with reduceat along axis 0 is the slow
+    # variant: it made the whole kernel 3.2-3.4 s against the per-row
+    # loop's 1.2-1.4 s.
     def __call__(self, batch: pa.Table) -> pa.Table:
+        sigs, toks = self.minima(batch["norm_content"])
         dt = sig_dtype(self.cfg)
-        texts = batch["norm_content"].to_pylist()
-        n = len(texts)
-        sigs = np.empty((n, self.cfg.num_perm), dtype=dt)
-        sigs_t = np.empty((n, self.cfg.num_perm_tok), dtype=dt)
-        # within-batch memo: exact-duplicate content (boilerplate files,
-        # vendored copies) is sketched once — at corpus scale duplicates are
-        # a large fraction of rows and signatures are pure functions of text
-        memo: dict[int, int] = {}
-        for i, t in enumerate(texts):
-            t = t or ""
-            key = hash(t)  # process-local is fine for a per-batch memo
-            j = memo.get(key)
-            if j is not None and texts[j] == t:
-                sigs[i] = sigs[j]
-                sigs_t[i] = sigs_t[j]
-                continue
-            memo[key] = i
-            sigs[i] = self.signature(t).astype(dt)
-            sigs_t[i] = self.token_signature(t).astype(dt)
-        w = self.cfg.sig_bytes
+        n, w = batch.num_rows, self.cfg.sig_bytes
         out = batch.append_column("sig", pa.FixedSizeBinaryArray.from_buffers(
             pa.binary(self.cfg.num_perm * w), n,
-            [None, pa.py_buffer(sigs.tobytes())]))
+            [None, pa.py_buffer(sigs.astype(dt).tobytes())]))
         return out.append_column("sig_tok", pa.FixedSizeBinaryArray.from_buffers(
             pa.binary(self.cfg.num_perm_tok * w), n,
-            [None, pa.py_buffer(sigs_t.tobytes())]))
+            [None, pa.py_buffer(toks.astype(dt).tobytes())]))
 
 
 def fixed_binary_view(col: pa.ChunkedArray | pa.Array, width_units: int,

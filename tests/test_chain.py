@@ -82,6 +82,21 @@ def test_clusters_invariant_across_entry_points(corpus, tmp_path):
     assert _clusters(inc).equals(want)
 
 
+def test_clusters_invariant_to_block_count_and_batch_size(corpus):
+    """The sketch runs per batch, so neither the input's block count nor the
+    map batch size may change a cluster."""
+    t, _ = corpus
+    cfg = LinkageConfig()
+    want = _clusters(run_linkage(rd.from_arrow(t), cfg, num_buckets=7))
+    for nb in (1, 13):
+        got = _clusters(run_linkage(rd.from_arrow(t, override_num_blocks=nb),
+                                    cfg, num_buckets=7))
+        assert got.equals(want), f"override_num_blocks={nb}"
+    got = _clusters(run_linkage(rd.from_arrow(t, override_num_blocks=13),
+                                LinkageConfig(batch_size=7), num_buckets=7))
+    assert got.equals(want), "batch_size=7"
+
+
 def test_checkpoints_rerun_over_other_input_files(corpus, tmp_path):
     """A checkpoint dir reused for another table recomputes every stage (the
     manifests record the input files) and resumes over the same files."""

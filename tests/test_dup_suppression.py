@@ -9,7 +9,7 @@ from spel_ray.config import LinkageConfig
 from spel_ray.pipelines.linkage import run_linkage
 from spel_ray.sources.synth import generate_code_table
 from spel_ray.stages.blocking import block_keys, elect_band_carriers
-from spel_ray.stages.fingerprint import fingerprint
+from spel_ray.stages.fingerprint import fingerprint, fingerprint_batch
 
 
 def _dup_heavy(n=120):
@@ -95,3 +95,20 @@ def test_cross_lang_identical_content_still_pairs():
     assert (df.sort_values("row_id").reset_index(drop=True)
               .equals(off.sort_values("row_id").reset_index(drop=True)))
     assert df["cluster_id"].nunique() == 1
+
+
+def test_election_runs_its_input_once(tmp_path):
+    """The carrier count and the carrier collect share one execution."""
+    log = tmp_path / "calls.log"
+
+    def logged(batch: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write("call\n")
+        return batch
+
+    rec = rd.from_arrow(fingerprint_batch(_dup_heavy()),
+                        override_num_blocks=4) \
+        .map_batches(logged, batch_format="pyarrow", batch_size=None)
+    assert elect_band_carriers(rec, LinkageConfig(suppress_dup_bands=True),
+                               num_buckets=4) is not None
+    assert len(log.read_text().splitlines()) == 4

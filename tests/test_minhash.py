@@ -1,10 +1,19 @@
 """MinHash / LSH unit fixtures (FIXTURES.md §5: 6 hand-written strings with
-known shared shingles; band collisions for the near-duplicates only)."""
+known shared shingles; band collisions for the near-duplicates only), and
+the batch sketch kernel against pinned digests and the per-row model."""
+
+import hashlib
 
 import numpy as np
+import pyarrow as pa
+import pytest
 
 from spel_ray.config import LinkageConfig
-from spel_ray.stages.minhash import MinHasher
+from spel_ray.sources.synth import generate_code_table
+from spel_ray.stages import minhash
+from spel_ray.stages.fingerprint import fingerprint_batch
+from spel_ray.stages.minhash import (_EMPTY_SENTINEL, MinHasher,
+                                     fixed_binary_view, sig_dtype)
 
 CFG = LinkageConfig()
 
@@ -64,3 +73,141 @@ def test_short_and_empty_strings():
         sig = mh.signature(s)
         assert sig.shape == (CFG.num_perm,)
         assert (sig == MinHasher(CFG).signature(s)).all()
+
+
+# --- the batch kernel against the per-row sketch it replaced ---------------
+
+# sha256 of the concatenated sig / sig_tok bytes of the 2k fixture, taken
+# from the per-row sketch before the batch kernel replaced it
+PINNED = {
+    2: ("168ad4818fe057ff1ab5944896267ed087af35fa4f3d8c87b48803c5945f8a06",
+        "210a68d60323acb490309f70c901b8228a1d5918ad3266b4ff8817d757a4eadf"),
+    4: ("e6b628f1e09668d31de99c4915479184ea5a02f62ba62aafe90112972f708dd7",
+        "a610e810e16caaf747fba75116ef73e92314e5ed72578dbed14207d141bcf835"),
+}
+
+
+@pytest.fixture(scope="module")
+def fixture_2k():
+    return fingerprint_batch(generate_code_table(2000, seed=42))
+
+
+@pytest.mark.parametrize("sig_bytes", [2, 4])
+def test_signature_bytes_pinned(fixture_2k, sig_bytes):
+    out = MinHasher(LinkageConfig(sig_bytes=sig_bytes))(fixture_2k)
+    got = tuple(hashlib.sha256(b"".join(out[c].to_pylist())).hexdigest()
+                for c in ("sig", "sig_tok"))
+    assert got == PINNED[sig_bytes]
+
+
+class RowSketch:
+    """The per-row sketch the batch kernel replaced, kept verbatim as the
+    reference model. Shares the permutation tables of a MinHasher."""
+
+    def __init__(self, mh: MinHasher):
+        self.cfg, self.A, self.B = mh.cfg, mh.A, mh.B
+        self.At, self.Bt = mh.At, mh.Bt
+        self.powers, self.token_re = mh.powers, mh.token_re
+
+    def shingle_hashes(self, text: str) -> np.ndarray:
+        """Unique uint64 hashes of the char-k shingles of ``text``."""
+        k = self.cfg.shingle_k
+        b = np.frombuffer(text.encode("utf-8", errors="ignore"), dtype=np.uint8)
+        if len(b) < k:  # incl. empty: pad to exactly one window
+            pad = np.zeros(k, dtype=np.uint8)
+            pad[: len(b)] = b
+            b = pad
+        win = np.lib.stride_tricks.sliding_window_view(b, k).astype(np.uint64)
+        h = (win * self.powers[None, :]).sum(axis=1, dtype=np.uint64)
+        # xorshift finalizer for better low-bit mixing
+        h ^= h >> np.uint64(33)
+        h *= np.uint64(0xFF51AFD7ED558CCD)
+        h ^= h >> np.uint64(33)
+        return np.unique(h)
+
+    def signature(self, text: str) -> np.ndarray:
+        """(num_perm,) uint64 MinHash signature."""
+        h = self.shingle_hashes(text)
+        # (P, S) broadcast, min over shingles
+        m = self.A[:, None] * h[None, :] + self.B[:, None]
+        return m.min(axis=1)
+
+    def token_hashes(self, text: str) -> np.ndarray:
+        toks = set(self.token_re.findall(text.encode("utf-8", errors="ignore")))
+        if not toks:
+            return np.array([_EMPTY_SENTINEL], dtype=np.uint64)
+        return np.fromiter(
+            (int.from_bytes(hashlib.md5(t).digest()[:8], "little")
+             for t in toks),
+            dtype=np.uint64, count=len(toks))
+
+    def token_signature(self, text: str) -> np.ndarray:
+        h = self.token_hashes(text)
+        m = self.At[:, None] * h[None, :] + self.Bt[:, None]
+        return m.min(axis=1)
+
+
+EDGE_TEXTS = [
+    "", None, "a", "ab", "abc", "abcd", "abcde", "abcdef",   # shorter than k
+    "abcdefg",                                             # exactly k
+    "déjà vu — naïve façade, 日本語のテキスト 🙂 x1 y_2",       # multi-byte
+    "def f(x):\n    return x + 1\n" * 360,                 # ~10k chars
+    "abcdefg", "", None,                                   # duplicates
+    "!@#$%^&*()[]{};:'\",.<>/?\\|`~-=+ \t\n",                # punctuation
+    "é", "日本", "12 345 0x1f _a a_ 9lives",
+]
+
+
+@pytest.mark.parametrize("chunk_windows", [5, 1 << 16])
+@pytest.mark.parametrize("sig_bytes", [2, 4])
+def test_batch_kernel_matches_row_sketch(monkeypatch, chunk_windows,
+                                         sig_bytes):
+    """The batch kernel equals the per-row model on every edge case, also
+    when chunking splits the batch into many chunks."""
+    monkeypatch.setattr(minhash, "_CHUNK_WINDOWS", chunk_windows)
+    cfg = LinkageConfig(sig_bytes=sig_bytes)
+    mh = MinHasher(cfg)
+    ref = RowSketch(mh)
+    texts = EDGE_TEXTS + ["x" * 70_000]      # longer than one chunk
+    sig, tok = mh.minima(pa.array(texts, pa.string()))
+    want_sig = np.stack([ref.signature(t or "") for t in texts])
+    want_tok = np.stack([ref.token_signature(t or "") for t in texts])
+    assert (sig == want_sig).all() and (tok == want_tok).all()
+
+    out = mh(pa.table({"norm_content": pa.array(texts, pa.string())}))
+    dt = sig_dtype(cfg)
+    assert (fixed_binary_view(out["sig"], cfg.num_perm, dt)
+            == want_sig.astype(dt)).all()
+    assert (fixed_binary_view(out["sig_tok"], cfg.num_perm_tok, dt)
+            == want_tok.astype(dt)).all()
+
+    for t in texts:                      # the per-text views
+        t = t or ""
+        assert (mh.signature(t) == ref.signature(t)).all()
+        assert (mh.token_signature(t) == ref.token_signature(t)).all()
+        assert (mh.shingle_hashes(t) == ref.shingle_hashes(t)).all()
+
+
+def test_batch_kernel_reads_any_string_layout():
+    """Chunked, sliced and large_string columns sketch like a plain one."""
+    mh = MinHasher(CFG)
+    texts = EDGE_TEXTS[:12]
+    want = mh.minima(pa.array(texts, pa.string()))
+    for col in (pa.chunked_array([texts[:5], texts[5:]], pa.string()),
+                pa.array(["pad"] + texts, pa.string()).slice(1),
+                pa.array(texts, pa.large_string())):
+        got = mh.minima(col)
+        assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+    sig, tok = mh.minima(pa.array([], pa.string()))
+    assert sig.shape == (0, CFG.num_perm) and tok.shape == (0, CFG.num_perm_tok)
+
+
+@pytest.mark.parametrize("rows_per_call", [1, 7, 2048])
+def test_sketch_invariant_to_batch_boundaries(fixture_2k, rows_per_call):
+    t = fixture_2k.slice(0, 300)
+    mh = MinHasher(CFG)
+    want = mh(t)
+    got = pa.concat_tables([mh(t.slice(i, rows_per_call))
+                            for i in range(0, t.num_rows, rows_per_call)])
+    assert got["sig"].equals(want["sig"])
+    assert got["sig_tok"].equals(want["sig_tok"])

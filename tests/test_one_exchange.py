@@ -17,6 +17,10 @@
 - One pair kernel: in-block pair enumeration (``np.triu_indices``) and a
   ``"_pk"`` pair-key column appear only in ``spel_ray/stages/pairs.py``
   (``block_pairs`` / ``merge_pairs``); other pair producers call them.
+- One sketch path: only ``spel_ray/stages/minhash.py`` calls the per-text
+  views ``.signature(`` / ``.token_signature(`` / ``.shingle_hashes(``;
+  every other module sketches a batch through ``MinHasher.__call__``. Inside
+  it, ``hashlib.md5`` runs only in the batch token-vocabulary step.
 """
 
 import ast
@@ -53,6 +57,17 @@ PAIR_ALLOWED = {
         "gold pairs: every pair of a small labeled sample, with no blocks, "
         "cap or merge — the truth the pair kernel's output is measured "
         "against",
+}
+
+
+SKETCH = "stages/minhash.py"
+PER_TEXT_VIEWS = ("signature", "token_signature", "shingle_hashes")
+
+# enclosing function inside the sketch module -> why it may call md5
+MD5_ALLOWED = {
+    "_token_vocab":
+        "the batch token vocabulary: md5 once per distinct token of a "
+        "batch, bit-identical to the oracles' md5_number_upper",
 }
 
 
@@ -152,6 +167,19 @@ def _exchange_lambdas(tree: ast.AST):
     return found
 
 
+def _sketch_calls(tree: ast.AST):
+    """(function, line, what) for every per-text sketch view call or md5."""
+    found = []
+    for func, node in _nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in PER_TEXT_VIEWS:
+            found.append((func, node.lineno, f".{node.func.attr}("))
+        if (isinstance(node, ast.Attribute) and node.attr == "md5") or \
+                (isinstance(node, ast.alias) and node.name == "md5"):
+            found.append((func, getattr(node, "lineno", 0), "md5"))
+    return found
+
+
 def _modules():
     for path in sorted(PKG.rglob("*.py")):
         yield path.relative_to(PKG).as_posix(), ast.parse(path.read_text())
@@ -223,8 +251,23 @@ def test_exchange_functions_are_named():
     assert not bad, ("pass a named def to the exchange:\n" + "\n".join(bad))
 
 
+def test_one_sketch_path():
+    bad = []
+    for mod, tree in _modules():
+        for func, line, what in _sketch_calls(tree):
+            where = f"spel_ray/{mod}:{line} ({func}): {what}"
+            if what == "md5":
+                if mod == SKETCH and func not in MD5_ALLOWED:
+                    bad.append(where)
+            elif mod != SKETCH:
+                bad.append(where)
+    assert not bad, ("per-text sketch outside stages/minhash.py or md5 "
+                     "outside its batch token vocabulary — sketch a batch "
+                     "with MinHasher(cfg)(table):\n" + "\n".join(bad))
+
+
 def test_allowlist_entries_are_live():
-    """An allowlist entry whose exchange, commit or pair enumeration is gone
+    """An allowlist entry whose exchange, commit, pair enumeration or md5 is gone
     must be removed."""
     exchanges, commits, pairs = set(), set(), set()
     for mod, tree in _modules():
@@ -234,3 +277,6 @@ def test_allowlist_entries_are_live():
     assert set(ALLOWED) <= exchanges
     assert set(COMMIT_ALLOWED) <= commits
     assert set(PAIR_ALLOWED) <= pairs
+    md5 = {func for mod, tree in _modules() if mod == SKETCH
+           for func, _, what in _sketch_calls(tree) if what == "md5"}
+    assert set(MD5_ALLOWED) <= md5
