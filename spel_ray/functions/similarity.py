@@ -11,9 +11,10 @@
   bucket membership is data-independent once the index is fixed.
 
 All three share one tail (``_collect_topk``): every batch is cut to each
-query's top-k under ``(-cosine, vec_id)`` before anything leaves the task,
-so the driver collects at most batches × queries × k rows, and the same
-kernel merges those partials into the final ranking.
+query's top-k under ``(-cosine, vec_id)`` by the engine's one top-k kernel
+(``state/shuffle.topk_rows``) before anything leaves the task, so the
+driver collects at most batches × queries × k rows, and the same kernel
+merges those partials into the final ranking.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+
+from spel_ray.state.shuffle import topk_rows
 
 _PARTIAL = pa.schema([("qi", pa.int64()), ("vec_id", pa.int64()),
                       ("cosine", pa.float64())])
@@ -50,28 +53,13 @@ def embeddings(col) -> np.ndarray:
     return flat.reshape(n, mm["max"] or 0)
 
 
-def _topk(qi: np.ndarray, vec_id: np.ndarray, cosine: np.ndarray, k: int
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _topk(t: pa.Table, k: int) -> pa.Table:
     """Each query's ``k`` best distinct vec_ids under (-cosine, vec_id) —
     THE ranking rule, used both per batch and for the final merge (top-k of
-    per-batch top-ks is the top-k). Returns (qi, vec_id, cosine, rank)."""
-    def run_starts(*keys: np.ndarray) -> np.ndarray:
-        start = np.zeros(len(keys[0]), dtype=bool)
-        start[:1] = True
-        for a in keys:
-            start[1:] |= a[1:] != a[:-1]
-        return start
-
-    o = np.lexsort((-cosine, vec_id, qi))        # a vec_id's best row first
-    qi, vec_id, cosine = qi[o], vec_id[o], cosine[o]
-    first = run_starts(qi, vec_id)
-    qi, vec_id, cosine = qi[first], vec_id[first], cosine[first]
-    o = np.lexsort((vec_id, -cosine, qi))
-    qi, vec_id, cosine = qi[o], vec_id[o], cosine[o]
-    pos = np.arange(len(qi))
-    rank = pos - np.maximum.accumulate(np.where(run_starts(qi), pos, 0))
-    keep = rank < k
-    return qi[keep], vec_id[keep], cosine[keep], rank[keep] + 1
+    per-batch top-ks is the top-k). Rows come out in (qi, rank) order."""
+    best = topk_rows(t, ["qi", "vec_id"], [("cosine", "descending")], 1)
+    return topk_rows(best, ["qi"], [("cosine", "descending"),
+                                    ("vec_id", "ascending")], k)
 
 
 def _collect_topk(ds: ray.data.Dataset, score: Callable, query_ids,
@@ -80,8 +68,7 @@ def _collect_topk(ds: ray.data.Dataset, score: Callable, query_ids,
     batch to per-query top-k in the task, collect the partials and merge.
     Returns (query_id, vec_id, cosine, rank), typed even when empty."""
     def partial(batch: pa.Table) -> pa.Table:
-        qi, vid, cos, _ = _topk(*score(batch), k)
-        return pa.table([qi, vid, cos], schema=_PARTIAL)
+        return _topk(pa.table(list(score(batch)), schema=_PARTIAL), k)
 
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            batch_size=batch_size)
@@ -92,13 +79,14 @@ def _collect_topk(ds: ray.data.Dataset, score: Callable, query_ids,
 
 
 def _merge_topk(parts: pa.Table, query_ids, k: int) -> pd.DataFrame:
-    qi, vid, cos, rank = _topk(np.asarray(parts["qi"]),
-                               np.asarray(parts["vec_id"]),
-                               np.asarray(parts["cosine"]), k)
+    top = _topk(parts, k)
+    qi = np.asarray(top["qi"], dtype=np.int64)
+    rank = np.arange(len(qi)) - np.searchsorted(qi, qi) + 1
     return pd.DataFrame({
         "query_id": np.asarray(query_ids, dtype=np.int64)[qi],
-        "vec_id": vid,
-        "cosine": np.array([round(c, 5) for c in cos.tolist()], np.float64),
+        "vec_id": np.asarray(top["vec_id"], dtype=np.int64),
+        "cosine": np.array([round(c, 5) for c in top["cosine"].to_pylist()],
+                           np.float64),
         "rank": rank.astype(np.int64),
     }).sort_values(["query_id", "rank"]).reset_index(drop=True)
 

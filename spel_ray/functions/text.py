@@ -20,6 +20,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from spel_ray.state.shuffle import (bucketed_groupby, bucketed_topk,
+                                    merge_bucket, topk_rows)
+
 _STOPWORDS = {
     "en": {"the", "and", "of", "to", "a", "in", "is", "it", "that", "for"},
     "es": {"el", "la", "de", "que", "y", "en", "un", "es", "los", "por"},
@@ -142,10 +145,11 @@ def token_vocab(ds: ray.data.Dataset, top_k: int = 100, *,
     frequency (≙ A8 vocab build, reference ``data_loader.py:380-390``) —
     the canonical pre-aggregate-before-shuffle shape: every batch combines
     its counts locally (one pandas value_counts), the shuffle moves only
-    (token, partial_count) rows, a bucketed sum finalizes, and the global
-    top-k sorts the (already tiny) per-token totals. Ties break by token
-    text for determinism."""
-    from spel_ray.state.shuffle import bucketed_groupby
+    (token, partial_count) rows, and each bucket sums its tokens and keeps
+    its top_k — every token lands wholly in one bucket, so its sums are
+    final and the driver ranks at most num_buckets × top_k rows, never the
+    vocabulary. Ties break by token text for determinism."""
+    order = [("n", "descending"), ("token", "ascending")]
 
     def partial(batch: pa.Table) -> pa.Table:
         # measured: pandas .str.split().explode() is NOT vectorized for
@@ -159,22 +163,17 @@ def token_vocab(ds: ray.data.Dataset, top_k: int = 100, *,
         return pa.table({"token": pa.array(vc.index.tolist(), pa.string()),
                          "n": pa.array(vc.to_numpy(np.int64), pa.int64())})
 
-    # every token lands wholly in ONE bucket, so each bucket's sums are
-    # final — pre-prune to the bucket-local top_k and the driver merges at
-    # most num_buckets × top_k rows, never the vocabulary
-    def bucket_top(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("token", sort=False)["n"].sum().reset_index()
-        return g.sort_values(["n", "token"], ascending=[False, True]) \
-                .head(top_k)
+    def bucket_top(t: pa.Table) -> pa.Table:
+        return topk_rows(merge_bucket(t, ["token"], [("n", "n", "sum")]), [],
+                         order, top_k)
 
-    df = bucketed_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                          "token", bucket_top,
-                          num_buckets=num_buckets).to_pandas()
-    if df.empty:
-        return pd.DataFrame({"token": pd.Series(dtype="object"),
-                             "n": pd.Series(dtype="int64")})
-    return df.sort_values(["n", "token"], ascending=[False, True]) \
-        .head(top_k).reset_index(drop=True)
+    tops = bucketed_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                            "token", bucket_top, num_buckets=num_buckets,
+                            batch_format="pyarrow")
+    return topk_rows(pa.concat_tables(
+        [pa.schema([("token", pa.string()), ("n", pa.int64())]).empty_table(),
+         *tops.iter_batches(batch_size=None, batch_format="pyarrow")]),
+        [], order, top_k).to_pandas()
 
 
 def dedup_lines(ds: ray.data.Dataset, *, text_col: str = "text",
@@ -301,8 +300,9 @@ def tfidf_top_terms(ds: ray.data.Dataset, *, k: int = 3,
        ids, the table's contract) and scores every row (scalar math.log
        over the few DISTINCT df values, so the doubles are bit-identical
        to DuckDB's ln);
-    3. a second bucketed shuffle on the doc id takes the per-document
-       top-k (tfidf desc, term asc).
+    3. one :func:`bucketed_topk` on the doc id takes the per-document
+       top-k (tfidf desc, term asc), cutting each batch before it
+       shuffles.
 
     ``tf = count(t in d) / n_tokens(d)``, ``idf = ln(n_docs / df)``,
     ``tfidf = tf * idf``. Tokenization is ASCII-whitespace splitting via
@@ -311,8 +311,6 @@ def tfidf_top_terms(ds: ray.data.Dataset, *, k: int = 3,
     (Unicode-only whitespace like NBSP is NOT a separator on either
     side)."""
     import math as _math
-
-    from spel_ray.state.shuffle import bucketed_groupby
 
     n_docs = ds.count()
     ws_re = re.compile(r"\S+")
@@ -341,43 +339,24 @@ def tfidf_top_terms(ds: ray.data.Dataset, *, k: int = 3,
             "n_tok": pa.array(g["n_tok"].to_numpy(np.int64), pa.int64()),
         })
 
-    def score_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({id_col: pd.Series(dtype="int64"),
-                                 "term": pd.Series(dtype="object"),
-                                 "tfidf": pd.Series(dtype="float64")})
+    def score_bucket(df: pd.DataFrame) -> pa.Table:
         dfs = df.groupby("term", sort=False)["term"].transform("size")
         per_term_df = dfs.to_numpy(np.int64)
         uniq, inv = np.unique(per_term_df, return_inverse=True)
         idf = np.array([_math.log(n_docs / int(u)) for u in uniq])[inv]
         tfidf = (df["c"].to_numpy(np.int64) / df["n_tok"].to_numpy(np.int64)
                  ) * idf
-        return pd.DataFrame({id_col: df[id_col].to_numpy(np.int64),
-                             "term": df["term"].to_numpy(dtype=object),
-                             "tfidf": tfidf})
+        return pa.table({
+            id_col: pa.array(df[id_col].to_numpy(np.int64), pa.int64()),
+            "term": pa.array(df["term"].tolist(), pa.string()),
+            "tfidf": pa.array(tfidf, pa.float64())})
 
     scored = bucketed_groupby(
         ds.map_batches(explode, batch_format="pyarrow"), "term",
         score_bucket, num_buckets=num_buckets)
-
-    def topk_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return df
-        df = df.sort_values([id_col, "tfidf", "term"],
-                            ascending=[True, False, True])
-        return df.groupby(id_col, sort=False).head(k)
-
-    out = bucketed_groupby(scored, id_col, topk_bucket,
-                           num_buckets=num_buckets)
-
-    def to_arrow(df: pd.DataFrame) -> pa.Table:
-        return pa.table({
-            id_col: pa.array(df[id_col].to_numpy(np.int64), pa.int64()),
-            "term": pa.array(df["term"].tolist(), pa.string()),
-            "tfidf": pa.array(df["tfidf"].to_numpy(np.float64),
-                              pa.float64())})
-
-    return out.map_batches(to_arrow, batch_format="pandas")
+    return bucketed_topk(scored, [id_col], [("tfidf", "descending"),
+                                            ("term", "ascending")], k,
+                         num_buckets=num_buckets)
 
 
 def _line_arrays(col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,14 +19,15 @@ table when that stage is on.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
 from spel_ray.config import LinkageConfig
-from spel_ray.state.shuffle import bucketed_join
+from spel_ray.state.shuffle import bucketed_join, bucketed_topk
 
 
 def curate_documents(ds: ray.data.Dataset, *,
@@ -70,13 +71,24 @@ def curate_documents(ds: ray.data.Dataset, *,
         deduped = bucketed_join(deduped, reps, "doc_id", "doc_id",
                                 how="semi", num_buckets=num_buckets)
 
-    def split(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"], dtype=np.int64).view(np.uint64)
-        h = (ids * np.uint64(2654435761)) % np.uint64(100)
-        part = np.where(h < train_pct, "train", "test")
-        return batch.append_column("part", pa.array(part.tolist(), pa.string()))
+    return deduped.map_batches(partial(add_part, train_pct=train_pct),
+                               batch_format="pyarrow")
 
-    return deduped.map_batches(split, batch_format="pyarrow")
+
+def in_train(ids, train_pct: int = 80) -> np.ndarray:
+    """The deterministic train/test split: an id is in train when its
+    Knuth multiplicative hash ``(id * 2654435761) % 100`` (unsigned 64-bit)
+    is below ``train_pct`` — no RNG, so it is reproducible across engines
+    and expressible in SQL. ``ids``: any int64 array or column."""
+    h = (np.asarray(ids, dtype=np.int64).view(np.uint64)
+         * np.uint64(2654435761)) % np.uint64(100)
+    return h < train_pct
+
+
+def add_part(batch: pa.Table, train_pct: int = 80) -> pa.Table:
+    """``batch`` plus the ``part`` ("train" / "test") of each ``doc_id``."""
+    part = np.where(in_train(batch["doc_id"], train_pct), "train", "test")
+    return batch.append_column("part", pa.array(part.tolist(), pa.string()))
 
 
 def stratified_sample(ds: ray.data.Dataset, *, per_group: int,
@@ -86,9 +98,10 @@ def stratified_sample(ds: ray.data.Dataset, *, per_group: int,
     group ordered by a multiplicative hash of the id (then id) — balanced
     sampling for skewed corpora WITHOUT an RNG, so the sample is identical
     across engines, runs and parallelism levels (≙ K4 sampling, recast the
-    reproducible way; SQL-oracle-able as a windowed row_number).
+    reproducible way; SQL-oracle-able as a windowed row_number). A null
+    group is a stratum too.
 
-    Per-batch combiner first: each batch keeps at most per_group rows per
+    One :func:`bucketed_topk`: each batch keeps at most per_group rows per
     group before the shuffle, so the exchange moves O(groups × per_group ×
     batches) rows, never the corpus."""
     def rank_cols(batch: pa.Table) -> pa.Table:
@@ -97,25 +110,11 @@ def stratified_sample(ds: ray.data.Dataset, *, per_group: int,
         return batch.append_column("_rk", pa.array(h.view(np.int64),
                                                    pa.int64()))
 
-    def local_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values([group_col, "_rk", id_col])
-        # dropna=False: a null group is a stratum too (pandas groupby drops
-        # NaN keys by default — the SQL oracle's PARTITION BY keeps them)
-        return pa.Table.from_pandas(
-            df.groupby(group_col, dropna=False).head(per_group),
-            preserve_index=False).replace_schema_metadata(None)
-
-    from spel_ray.state.shuffle import bucketed_groupby
-
-    def final_topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([group_col, "_rk", id_col])
-        return df.groupby(group_col, dropna=False).head(per_group) \
-                 .drop(columns=["_rk"])
-
-    pre = ds.map_batches(rank_cols, batch_format="pyarrow") \
-            .map_batches(local_topk, batch_format="pyarrow")
-    return bucketed_groupby(pre, group_col, final_topk,
-                            num_buckets=num_buckets)
+    return bucketed_topk(ds.map_batches(rank_cols, batch_format="pyarrow"),
+                         [group_col], [("_rk", "ascending"),
+                                       (id_col, "ascending")],
+                         per_group, num_buckets=num_buckets) \
+        .drop_columns(["_rk"])
 
 
 def write_curated(ds: ray.data.Dataset, out_dir: str) -> dict:

@@ -8,6 +8,8 @@ MinHash clustering, SimHash candidates, LSH ANN, language id, quality.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -15,8 +17,9 @@ import pyarrow.compute as pc
 import ray.data
 
 from spel_ray.config import LinkageConfig
+from spel_ray.pipelines.curation import add_part, in_train
 from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_groupby,
-                                    cogroup)
+                                    bucketed_topk, cogroup)
 
 
 def _docs(sf_dir: str, columns: list[str]) -> ray.data.Dataset:
@@ -294,20 +297,19 @@ def q_simhash_candidates_docs(sf_dir: str) -> pd.DataFrame:
     return out.to_pandas().sort_values(["id_lo", "id_hi"]).reset_index(drop=True)
 
 
+def _split_part(batch: pa.Table, train: bool, id_col: str = "doc_id"
+                ) -> pa.Table:
+    """The rows of one side of the 80/20 ``in_train`` split."""
+    keep = in_train(pc.cast(batch[id_col], pa.int64()))
+    return batch.filter(pa.array(keep if train else ~keep))
+
+
 def q_train_split(sf_dir: str) -> pd.DataFrame:
     """Deterministic 80/20 train/test split via Knuth multiplicative hashing
     of doc_id — reproducible across engines AND expressible in SQL, unlike
     rng-based sampling (≙ dataset split selector M12 + sampling K4)."""
     ds = _docs(sf_dir, ["doc_id"])
-
-    def split(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"], dtype=np.int64).view(np.uint64)
-        h = (ids * np.uint64(2654435761)) % np.uint64(100)
-        part = np.where(h < 80, "train", "test")
-        return pa.table({"doc_id": batch["doc_id"],
-                         "part": pa.array(part.tolist(), pa.string())})
-
-    return ds.map_batches(split, batch_format="pyarrow").to_pandas() \
+    return ds.map_batches(add_part, batch_format="pyarrow").to_pandas() \
              .sort_values("doc_id").reset_index(drop=True)
 
 
@@ -481,15 +483,9 @@ def q_decontaminate(sf_dir: str) -> pd.DataFrame:
 
     ds = _docs(sf_dir, ["doc_id", "text"])
 
-    def part_of(batch: pa.Table, want_train: bool) -> pa.Table:
-        ids = np.asarray(batch["doc_id"], dtype=np.int64).view(np.uint64)
-        h = (ids * np.uint64(2654435761)) % np.uint64(100)
-        mask = (h < 80) if want_train else (h >= 80)
-        return batch.filter(pa.array(mask))
-
-    train = ds.map_batches(lambda b: part_of(b, True),
+    train = ds.map_batches(partial(_split_part, train=True),
                            batch_format="pyarrow")
-    test = ds.map_batches(lambda b: part_of(b, False),
+    test = ds.map_batches(partial(_split_part, train=False),
                           batch_format="pyarrow")
     out = decontaminate(train, test, n=13).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -814,24 +810,14 @@ def q_align_segmentations(sf_dir: str) -> pd.DataFrame:
 
 def q_topk_per_group(sf_dir: str) -> pd.DataFrame:
     """Top-3 lineitems per returnflag by extendedprice (deterministic
-    tiebreak) — per-group sort inside map_groups."""
+    tiebreak); a NULL flag is a group of its own."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_orderkey", "l_linenumber", "l_extendedprice"])
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(
-            ["l_returnflag", "l_extendedprice", "l_orderkey", "l_linenumber"],
-            ascending=[True, False, True, True])
-        return pa.Table.from_pandas(df.groupby("l_returnflag").head(3),
-                                    preserve_index=False).replace_schema_metadata(None)
-
-    out = ds.map_batches(local_topk, batch_format="pyarrow") \
-        .groupby("l_returnflag").map_groups(
-            lambda df: df.sort_values(
-                ["l_extendedprice", "l_orderkey", "l_linenumber"],
-                ascending=[False, True, True]).head(3),
-            batch_format="pandas")
+    out = bucketed_topk(ds, ["l_returnflag"],
+                        [("l_extendedprice", "descending"),
+                         ("l_orderkey", "ascending"),
+                         ("l_linenumber", "ascending")], 3, num_buckets=4)
     return out.to_pandas().sort_values(
         ["l_returnflag", "l_orderkey", "l_linenumber"]).reset_index(drop=True)
 
@@ -900,21 +886,13 @@ def q_linkage_docs_incremental(sf_dir: str) -> pd.DataFrame:
 
     cfg = LinkageConfig(use_verifier=False)
 
-    def split(keep_base: bool):
-        def f(batch: pa.Table) -> pa.Table:
-            # commit == str(doc_id) in the adapted table: the SAME
-            # multiplicative 80/20 rule as q_train_split
-            ids = np.asarray(pc.cast(batch["commit"], pa.int64()),
-                             dtype=np.int64).view(np.uint64)
-            h = (ids * np.uint64(2654435761)) % np.uint64(100)
-            mask = (h < 80) if keep_base else (h >= 80)
-            return batch.filter(pa.array(mask))
-        return f
-
-    base_ds = documents_as_code_table(sf_dir).map_batches(
-        split(True), batch_format="pyarrow")
-    inc_ds = documents_as_code_table(sf_dir).map_batches(
-        split(False), batch_format="pyarrow")
+    # commit == str(doc_id) in the adapted table: the same 80/20 split as
+    # q_train_split
+    docs = documents_as_code_table(sf_dir)
+    base_ds = docs.map_batches(partial(_split_part, train=True, id_col="commit"),
+                               batch_format="pyarrow")
+    inc_ds = docs.map_batches(partial(_split_part, train=False,
+                                      id_col="commit"), batch_format="pyarrow")
 
     base = run_linkage(base_ds, cfg, num_buckets=8)
     base_blocks = block_keys(base.records, cfg).materialize()

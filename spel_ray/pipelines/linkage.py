@@ -30,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from spel_ray.config import LinkageConfig
@@ -40,6 +42,7 @@ from spel_ray.stages.fingerprint import (fingerprint, row_ids,
                                          text_record_batch)
 from spel_ray.stages.pairs import scored_candidate_pairs
 from spel_ray.stages.scoring import edges_from_pairs, verify_borderline
+from spel_ray.state.shuffle import bucketed_groupby, merge_bucket, topk_rows
 
 
 @dataclass
@@ -175,47 +178,47 @@ def cluster_report(res: LinkageResult, *, num_buckets: int = 16,
     size distribution, singleton fraction, largest clusters. One bucketed
     count pass over the slim (row_id, cluster_id) table; the histogram is
     tiny and finalizes on the driver."""
-    import pandas as pd
+    largest = [("size", "descending"), ("cluster_id", "ascending")]
+    cols = ["size", "n_clusters", "cluster_id"]
 
-    from spel_ray.state.shuffle import bucketed_groupby
-
-    def bucket_summary(df: pd.DataFrame) -> pd.DataFrame:
+    def bucket_summary(t: pa.Table) -> pa.Table:
         """Each cluster lives wholly in one bucket (keyed by cluster_id),
         so the bucket can finalize: emit its (size → count) histogram plus
         its local top_n largest — the driver merges num_buckets tiny
-        summaries, never one row per cluster (corpus-scale)."""
-        sizes = df.groupby("cluster_id", sort=False).size().rename("size") \
-                  .reset_index()
-        hist = sizes["size"].value_counts().reset_index()
-        hist.columns = ["size", "n_clusters"]
-        top = sizes.sort_values(["size", "cluster_id"],
-                                ascending=[False, True]).head(top_n)
-        hist["cluster_id"] = -1            # tag rows: histogram vs top
-        top = top.assign(n_clusters=-1)
-        return pd.concat([hist[["size", "n_clusters", "cluster_id"]],
-                          top[["size", "n_clusters", "cluster_id"]]])
+        summaries, never one row per cluster (corpus-scale). Histogram
+        rows carry cluster_id -1, top rows count 0 clusters."""
+        sizes = merge_bucket(t, ["cluster_id"],
+                             [("size", "cluster_id", "count")])
+        hist = merge_bucket(sizes, ["size"], [("n_clusters", "size", "count")])
+        top = topk_rows(sizes, [], largest, top_n)
+        return pa.concat_tables([
+            hist.append_column("cluster_id",
+                               pa.array(np.full(hist.num_rows, -1))),
+            top.append_column("n_clusters",
+                              pa.array(np.zeros(top.num_rows, np.int64)))
+               .select(cols)])
 
-    parts = bucketed_groupby(
+    summary = bucketed_groupby(
         res.clusters.select_columns(["cluster_id"]), "cluster_id",
-        bucket_summary, num_buckets=num_buckets).to_pandas()
-    if parts.empty:
-        return {"n_records": 0, "n_clusters": 0, "singleton_fraction": 0.0,
-                "size_histogram": {}, "largest": []}
-    hist_rows = parts[parts["cluster_id"] == -1]
-    hist = hist_rows.groupby("size")["n_clusters"].sum().sort_index()
-    top_rows = parts[parts["n_clusters"] == -1] \
-        .sort_values(["size", "cluster_id"], ascending=[False, True]) \
-        .head(top_n)
-    n_clusters = int(hist.sum())
-    n_records = int((hist.index.to_numpy() * hist.to_numpy()).sum())
+        bucket_summary, num_buckets=num_buckets, batch_format="pyarrow")
+    parts = pa.concat_tables(
+        [pa.schema([(c, pa.int64()) for c in cols]).empty_table(),
+         *summary.iter_batches(batch_size=None, batch_format="pyarrow")])
+    hist = merge_bucket(parts, ["size"], [("n", "n_clusters", "sum")]) \
+        .sort_by("size")
+    hist = dict(zip(hist["size"].to_pylist(), hist["n"].to_pylist()))
+    top = topk_rows(parts.filter(pc.equal(parts["n_clusters"], 0)), [],
+                    largest, top_n)
+    n_clusters = sum(hist.values())
     return {
-        "n_records": n_records,
+        "n_records": sum(s * c for s, c in hist.items()),
         "n_clusters": n_clusters,
-        "singleton_fraction": round(
-            float(hist.get(1, 0)) / n_clusters, 5) if n_clusters else 0.0,
-        "size_histogram": {int(k): int(v) for k, v in hist.items()},
-        "largest": [{"cluster_id": int(r.cluster_id), "size": int(r.size)}
-                    for r in top_rows.itertuples(index=False)],
+        "singleton_fraction": round(hist.get(1, 0) / n_clusters, 5)
+        if n_clusters else 0.0,
+        "size_histogram": hist,
+        "largest": [{"cluster_id": c, "size": s} for c, s in
+                    zip(top["cluster_id"].to_pylist(),
+                        top["size"].to_pylist())],
     }
 
 
@@ -224,12 +227,9 @@ def linkage_stats(res: LinkageResult, cfg: LinkageConfig | None = None) -> dict:
     how many merged pairs came only from capped (hot) blocks, so a capped
     shuffle never reads as 'covered everything' when it didn't
     (SURVEY.md §7.4 'log what was capped')."""
-    import pyarrow as pa
-
     thr = (cfg or LinkageConfig()).score_threshold
 
     def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         return pa.table({
             "n": [batch.num_rows],
             "n_capped": [pc.sum(pc.cast(batch["capped"], pa.int64())).as_py() or 0],

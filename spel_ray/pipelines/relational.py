@@ -24,7 +24,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from spel_ray.state.shuffle import bucketed_aggregate, bucketed_join
+from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_join,
+                                    bucketed_topk)
 
 
 def _read(sf_dir: str, table: str, columns: list[str]) -> ray.data.Dataset:
@@ -154,20 +155,12 @@ def q_orders_customer_join(sf_dir: str) -> pd.DataFrame:
 
 # -------------------------------------------------------------- sort / top-k
 def q_top_orders(sf_dir: str) -> pd.DataFrame:
-    """Global top-k via per-block partial top-k then final sort-limit
+    """Global top-k: a per-batch partial top-k then one final top-k
     (≙ two-stage top-k, reference ``model.py:126-158``)."""
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    k = 20
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        idx = pc.select_k_unstable(batch, k,
-                                   [("o_totalprice", "descending"),
-                                    ("o_orderkey", "ascending")])
-        return batch.take(idx)
-
-    out = (ds.map_batches(partial_topk, batch_format="pyarrow")
-             .sort(["o_totalprice", "o_orderkey"], descending=[True, False])
-             .limit(k).to_pandas())
+    out = bucketed_topk(ds, [], [("o_totalprice", "descending"),
+                                 ("o_orderkey", "ascending")], 20,
+                        num_buckets=1).to_pandas()
     return out[["o_orderkey", "o_totalprice"]]
 
 

@@ -289,6 +289,7 @@ def blocking_quality(records: ray.data.Dataset, pairs: ray.data.Dataset,
     from spel_ray.config import LinkageConfig
     from spel_ray.extension import get_scorer
     from spel_ray.stages.minhash import MinHasher, fixed_binary_view, sig_dtype
+    from spel_ray.state.shuffle import topk_rows
 
     cfg = cfg or LinkageConfig()
     mult = np.uint64(2654435761)
@@ -301,25 +302,22 @@ def blocking_quality(records: ray.data.Dataset, pairs: ray.data.Dataset,
         n_records = records.count()
     n_cand = pairs.count()
 
-    sample_cols = ["row_id", "norm_content", "n_chars", "content_sha256"]
+    sample = pa.schema([("row_id", pa.int64()), ("norm_content", pa.string()),
+                        ("n_chars", pa.int64()),
+                        ("content_sha256", pa.string()), ("_rk", pa.uint64())])
+    by_rank = [("_rk", "ascending")]
 
     def local_top(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch["row_id"], dtype=np.int64).view(np.uint64)
-        rank = ids * mult            # uint64 wraparound
-        order = np.argsort(rank, kind="stable")[:sample_size]
-        return batch.select(sample_cols).take(
-            pa.array(order.astype(np.int64)))
+        t = batch.append_column("_rk", pa.array(ids * mult))  # uint64 wrap
+        return topk_rows(t.select(sample.names).cast(sample), [], by_rank,
+                         sample_size)
 
-    parts = (records.map_batches(local_top, batch_format="pyarrow")
-             .to_pandas())
-    if "row_id" not in parts.columns:   # empty Dataset loses its schema
-        parts = pd.DataFrame({c: pd.Series(dtype=object)
-                              for c in sample_cols})
-        parts["row_id"] = parts["row_id"].astype("int64")
-        parts["n_chars"] = parts["n_chars"].astype("int64")
-    ranks = parts["row_id"].to_numpy(np.int64).view(np.uint64) * mult
-    parts = parts.iloc[np.argsort(ranks, kind="stable")[:sample_size]] \
-        .reset_index(drop=True)
+    parts = topk_rows(pa.concat_tables(
+        [sample.empty_table(),
+         *records.map_batches(local_top, batch_format="pyarrow")
+                 .iter_batches(batch_size=None, batch_format="pyarrow")]),
+        [], by_rank, sample_size).to_pandas()
     s = len(parts)
 
     dt = sig_dtype(cfg)

@@ -35,12 +35,14 @@ from functools import partial
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from spel_ray.config import LinkageConfig
 from spel_ray.extension import get_scorer
 from spel_ray.stages.minhash import fixed_binary_view, sig_dtype
-from spel_ray.state.shuffle import bucketed_aggregate, bucketed_groupby
+from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_groupby,
+                                    bucketed_topk)
 
 # one scored candidate pair, as pair-gen emits it (the merge adds n_blocks)
 PAIR_SCHEMA = pa.schema([
@@ -150,35 +152,26 @@ def mine_hard_negatives(pairs: ray.data.Dataset, cfg: LinkageConfig,
     miner ``model.py:126-158``: per-batch top-k → global top-k). These are
     the pairs a threshold-calibration or training loop wants to look at.
 
-    Two-stage: a vectorized per-batch partial top-n (lexsort-truncate) keeps
-    at most n rows per block, then one tiny global sort-limit — the full
-    pair set is never globally sorted.
+    One global :func:`bucketed_topk`: each batch keeps its top n, then one
+    bucket keeps the top n of those — the full pair set is never globally
+    sorted. The output is in rank order.
 
     Determinism: sketch-blend scores are heavily quantized (MinHash
-    agreement is k/num_perm), so ties at the cutoff are common; both stages
-    break ties lexicographically on (id_lo, id_hi) so the selected set is
+    agreement is k/num_perm), so ties at the cutoff are common; ties break
+    lexicographically on (id_lo, id_hi) so the selected set is
     independent of partitioning/parallelism (ADVICE r2 #1)."""
-    import pyarrow.compute as pc
-
     if pairs.schema() is None:              # no pairs at all
         return pairs
     thr = cfg.score_threshold
 
-    def partial_top(batch: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.less(batch["score"], thr),
-                       pc.invert(batch["exact"]))
-        t = batch.filter(keep).select(["id_lo", "id_hi", "score"])
-        if t.num_rows > n:
-            s = np.asarray(t["score"])
-            lo = np.asarray(t["id_lo"])
-            hi = np.asarray(t["id_hi"])
-            idx = np.lexsort((hi, lo, -s))[:n]     # score desc, ids asc
-            t = t.take(pa.array(np.sort(idx)))
-        return t
+    def non_matches(batch: pa.Table) -> pa.Table:
+        keep = pc.and_(pc.less(batch["score"], thr), pc.invert(batch["exact"]))
+        return batch.filter(keep).select(["id_lo", "id_hi", "score"])
 
-    parts = pairs.map_batches(partial_top, batch_format="pyarrow")
-    return (parts.sort(["score", "id_lo", "id_hi"],
-                       descending=[True, False, False]).limit(n))
+    return bucketed_topk(
+        pairs.map_batches(non_matches, batch_format="pyarrow"), [],
+        [("score", "descending"), ("id_lo", "ascending"),
+         ("id_hi", "ascending")], n, num_buckets=1)
 
 
 def scored_candidate_pairs(block_rows: ray.data.Dataset, cfg: LinkageConfig,

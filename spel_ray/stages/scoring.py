@@ -20,8 +20,12 @@ rerun reproduces identical edges (≙ reference's deterministic conflict vote,
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from spel_ray.config import LinkageConfig
@@ -77,6 +81,26 @@ class BorderlineVerifier:
         return out
 
 
+def _band(batch: pa.Table, lo: float, hi: float, border: bool) -> pa.Table:
+    """The pairs whose sketch score is (``border``) or is not in [lo, hi)."""
+    m = pc.and_(pc.greater_equal(batch["score"], lo),
+                pc.less(batch["score"], hi))
+    return batch.filter(m if border else pc.invert(m))
+
+
+def _passthrough(batch: pa.Table, lo: float, hi: float,
+                 cols: list[str]) -> pa.Table:
+    """The pairs outside the borderline band, marked unverified, in the
+    output's column order."""
+    t = _band(batch, lo, hi, border=False)
+    return t.append_column("verified", pa.array(np.zeros(t.num_rows, bool))) \
+            .select(cols)
+
+
+def _select(batch: pa.Table, cols: list[str]) -> pa.Table:
+    return batch.select(cols)
+
+
 def verify_borderline(pairs: ray.data.Dataset, records: ray.data.Dataset,
                       cfg: LinkageConfig, *, num_buckets: int = 32
                       ) -> ray.data.Dataset:
@@ -84,29 +108,20 @@ def verify_borderline(pairs: ray.data.Dataset, records: ray.data.Dataset,
     with record content (``bucketed_join``), verify, union back.
 
     ``records`` must carry (row_id, norm_content)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     if pairs.schema() is None:   # no candidate pairs at all (tiny inputs)
         return pairs
 
     lo, hi = cfg.verify_low, cfg.verify_high
+    # both branches leave in one column order and block type (Arrow) for
+    # the union. The order comes from the INPUT schema (+verified): either
+    # branch may be empty and schema-less (no borderline pairs / all
+    # borderline).
+    cols = sorted(set(pairs.columns()) | {"verified"})
+    passthrough = pairs.map_batches(
+        partial(_passthrough, lo=lo, hi=hi, cols=cols), batch_format="pyarrow")
 
-    def split(batch: pa.Table, want_border: bool) -> pa.Table:
-        s = batch["score"]
-        border = pc.and_(pc.greater_equal(s, lo), pc.less(s, hi))
-        m = border if want_border else pc.invert(border)
-        return batch.filter(m)
-
-    passthrough = pairs.map_batches(lambda b: split(b, False), batch_format="pyarrow")
-
-    def mark_unverified(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "verified", pa.array(np.zeros(batch.num_rows, dtype=bool)))
-
-    passthrough = passthrough.map_batches(mark_unverified, batch_format="pyarrow")
-
-    border = pairs.map_batches(lambda b: split(b, True), batch_format="pyarrow")
+    border = pairs.map_batches(partial(_band, lo=lo, hi=hi, border=True),
+                               batch_format="pyarrow")
     for side in ("lo", "hi"):       # content of each pair end, misses kept
         content = records.select_columns(["row_id", "norm_content"]) \
                          .rename_columns({"norm_content": f"content_{side}"})
@@ -119,24 +134,13 @@ def verify_borderline(pairs: ray.data.Dataset, records: ray.data.Dataset,
                               batch_format="pandas",
                               batch_size=cfg.pair_batch_size,
                               concurrency=(1, cfg.scorer_concurrency))
-    # align column order and block type (Arrow) before union. Column list
-    # comes from the INPUT schema (+verified): either branch may be empty
-    # and schema-less (no borderline pairs / all borderline).
-    cols = sorted(set(pairs.columns()) | {"verified"})
-
-    def align(batch: pa.Table) -> pa.Table:
-        return batch.select(cols)
-
-    passthrough = passthrough.map_batches(align, batch_format="pyarrow")
-    verified = verified.map_batches(align, batch_format="pyarrow")
+    verified = verified.map_batches(partial(_select, cols=cols),
+                                    batch_format="pyarrow")
     return passthrough.union(verified)
 
 
 def edges_from_pairs(pairs: ray.data.Dataset, cfg: LinkageConfig) -> ray.data.Dataset:
     """Thresholded edges (lo, hi) for transitive clustering."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     thr = cfg.score_threshold
 
     def filt(batch: pa.Table) -> pa.Table:

@@ -1,7 +1,8 @@
 """Bucketed shuffle — the engine's one wide exchange, and the grouped
-aggregate and joins built on it.
+aggregate, top-k and joins built on it.
 
-Primitives (no other module shuffles, tags, aggregates or joins by hand):
+Primitives (no other module shuffles, tags, aggregates, ranks or joins by
+hand):
 
 - ``add_bucket_column`` — THE bucket hash: one key column or a list of them
   (int-like, float or string) → uniform id in ``[0, num_buckets)``.
@@ -16,6 +17,11 @@ Primitives (no other module shuffles, tags, aggregates or joins by hand):
   kernel ``merge_bucket`` runs once per input batch as the partial, then
   once per bucket with the partials' merge functions as the final
   (≙ metric partial + final, reference ``decao_eval.py:1185-1202``).
+- ``bucketed_topk(ds, keys, order, k)`` — SQL ``ROW_NUMBER() OVER
+  (PARTITION BY keys ORDER BY order) <= k``: the Ray-free Arrow kernel
+  ``topk_rows`` runs once per input batch as the partial, then once per
+  bucket as the final (≙ per-batch top-k → global top-k, reference
+  ``model.py:126-158``). ``keys=[]`` is a global top-k.
 - ``cogroup(left, right, left_on, right_on, fn)`` — co-partitions two
   datasets on an integer key: ``fn(left_tbl, right_tbl)`` runs once per
   bucket, each side under its own column names.
@@ -148,16 +154,22 @@ def _row_order(schema: pa.Schema, keys: list[str]) -> list[str]:
     return sorted(keys, key=width)
 
 
+def _canon_keys(t: pa.Table, keys: list[str]) -> pa.Table:
+    """``t`` with its float key columns canonical (:func:`_canon_float`)."""
+    for k in keys:
+        if pa.types.is_floating(t.schema.field(k).type):
+            t = t.set_column(t.schema.get_field_index(k), k,
+                             _canon_float(t[k].combine_chunks()))
+    return t
+
+
 def merge_bucket(t: pa.Table, keys: list[str], aggs) -> pa.Table:
     """One Arrow ``GROUP BY keys`` of a batch or bucket, Ray-free. ``aggs``:
     ``(output, input column, fn)`` triples, ``fn`` one of ``sum`` / ``min``
     / ``max`` / ``count`` (COUNT(*)). Output: the keys, then the outputs in
     ``aggs`` order; a null key is its own group, float keys group -0.0 with
     +0.0 and NaN with NaN. Typed even when ``t`` is empty."""
-    for k in keys:
-        if pa.types.is_floating(t.schema.field(k).type):
-            t = t.set_column(t.schema.get_field_index(k), k,
-                             _canon_float(t[k].combine_chunks()))
+    t = _canon_keys(t, keys)
     # Arrow names each aggregate column {col}_{fn}; one per distinct name
     names = ["count_all" if fn == "count" else f"{col}_{fn}"
              for _, col, fn in aggs]
@@ -189,6 +201,53 @@ def bucketed_aggregate(ds: ray.data.Dataset, keys: list[str], aggs, *,
     return bucketed_groupby(parts, keys,
                             partial(merge_bucket, keys=keys, aggs=final),
                             num_buckets=num_buckets, batch_format="pyarrow")
+
+
+# ------------------------------------------------------------ top-k
+def topk_rows(t: pa.Table, keys: list[str], order, k: int) -> pa.Table:
+    """The first ``k`` rows of each distinct ``keys`` tuple under ``order``
+    (``(column, "ascending" | "descending")`` pairs), Ray-free, in
+    ``(keys, order)`` order and typed even when empty; ``keys=[]`` is one
+    global top-k. Keys group like :func:`merge_bucket`'s; nulls in an
+    ``order`` column sort last (a NaN just before them). End ``order`` with
+    a unique column: a total order makes the result partitioning-free."""
+    canon = _canon_keys(t, keys)
+    idx = pc.sort_indices(canon, sort_keys=[(c, "ascending") for c in keys]
+                          + list(order), null_placement="at_end")
+    # a group starts where any key's (null-aware) dictionary code changes
+    start = np.zeros(len(idx), dtype=bool)
+    start[:1] = True
+    for c in keys:
+        col = canon[c].take(idx).combine_chunks()
+        code = np.asarray(
+            pc.dictionary_encode(col, null_encoding="encode").indices)
+        start[1:] |= code[1:] != code[:-1]
+    pos = np.arange(len(idx))
+    rank = pos - np.maximum.accumulate(np.where(start, pos, 0))
+    return t.take(idx.filter(pa.array(rank < k)))
+
+
+def bucketed_topk(ds: ray.data.Dataset, keys: list[str], order, k: int, *,
+                  num_buckets: int) -> ray.data.Dataset:
+    """SQL ``QUALIFY ROW_NUMBER() OVER (PARTITION BY keys ORDER BY order)
+    <= k`` in one exchange: :func:`topk_rows` cuts every batch, the partials
+    shuffle on ``keys`` (all to bucket 0 when ``keys=[]``), and
+    :func:`topk_rows` finalizes each bucket. Blocks are Arrow, each in
+    ``(keys, order)`` order. Raises ValueError (on the driver) for k < 1, a
+    direction other than ascending / descending, or a column the dataset's
+    known schema lacks."""
+    sch = ds.schema(fetch_if_missing=False)
+    missing = sorted(set(keys + [c for c, _ in order]) - set(sch.names)) \
+        if sch is not None else []
+    bad = [d for _, d in order if d not in ("ascending", "descending")]
+    if k < 1 or bad or missing:
+        raise ValueError(f"bucketed_topk needs k >= 1 (got {k}), ascending "
+                         f"or descending (got {bad}) and known columns "
+                         f"(missing {missing})")
+    fn = partial(topk_rows, keys=keys, order=order, k=k)
+    return bucketed_groupby(ds.map_batches(fn, batch_format="pyarrow"), keys,
+                            fn, num_buckets=num_buckets,
+                            batch_format="pyarrow")
 
 
 # ------------------------------------------------------------ two-sided
@@ -315,7 +374,7 @@ def bucketed_join(left: ray.data.Dataset, right: ray.data.Dataset,
               merged=how in ("inner", "left", "full"))
     if how in ("semi", "anti"):
         right = right.map_batches(
-            lambda b: pa.table({right_on: pc.unique(b[right_on])}),
+            partial(merge_bucket, keys=[right_on], aggs=[]),
             batch_format="pyarrow")
         rtype = pa.struct([rtype.field(right_on)])
     return _cogroup(left, ltype, right, rtype, left_on, right_on,

@@ -226,3 +226,12 @@ def test_flagship_operators_are_named(tiny_code_table):
     assert "MapBatches(run)" not in stats
     assert "MapBatches(gen_and_score_bucket)" in stats
     assert "MapBatches(merge_bucket)" in stats
+
+
+def test_verifier_operators_are_named(tiny_code_table):
+    res = run_linkage(rd.from_arrow(tiny_code_table.drop_columns(
+        ["ancestor_id"])), LinkageConfig(use_verifier=True), num_buckets=4)
+    stats = res.pairs.stats()
+    assert "MapBatches(_band)" in stats
+    assert "MapBatches(_passthrough)" in stats
+    assert "<lambda>" not in stats

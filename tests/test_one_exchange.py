@@ -11,6 +11,10 @@
   ``add_bucket_column``); other modules aggregate and route through them.
   Every function handed to an exchange is a named ``def``, never a
   ``lambda``, so a plan's stats name each exchange.
+- One partial top-k: ``select_k_unstable``, a pandas
+  ``.groupby(...).head(`` or ``.sort_values(...).head(`` and a Ray
+  ``.sort(...).limit(`` chain appear only in ``spel_ray/state/shuffle.py``;
+  every "best k per group" runs ``topk_rows`` / ``bucketed_topk``.
 - One committer: ``"manifest.json"`` and the ``os.replace`` commit appear only
   in ``spel_ray/state/checkpoint.py`` (``CheckpointedRun.run_stage``); other
   modules checkpoint through it.
@@ -34,9 +38,11 @@ ALLOWED = {
     ("functions/dedup.py", "sorted_neighborhood_pairs"):
         "sorted-neighborhood range partition: buckets must preserve key "
         "order, which a hash bucket cannot",
-    ("pipelines/driver_queries.py", "q_topk_per_group"):
-        "deliberately exercises Ray's own groupby.map_groups",
 }
+
+
+# (module, enclosing function) -> why it may rank by hand
+TOPK_ALLOWED: dict = {}
 
 
 COMMITTER = "state/checkpoint.py"
@@ -102,6 +108,29 @@ def _violations(tree: ast.AST):
                                                  "num_partitions")
                                       for kw in node.keywords):
                 found.append((func, node.lineno, "Dataset.join"))
+    return found
+
+
+def _chain(node: ast.AST, outer: str, inner: str) -> bool:
+    """``node`` is a call ``<recv>.inner(...).outer(...)``."""
+    return isinstance(node, ast.Call) \
+        and isinstance(node.func, ast.Attribute) and node.func.attr == outer \
+        and isinstance(node.func.value, ast.Call) \
+        and isinstance(node.func.value.func, ast.Attribute) \
+        and node.func.value.func.attr == inner
+
+
+def _topks(tree: ast.AST):
+    """(function, line, what) for every hand-rolled top-k."""
+    found = []
+    for func, node in _nodes(tree):
+        if isinstance(node, ast.Attribute) \
+                and node.attr == "select_k_unstable":
+            found.append((func, node.lineno, "select_k_unstable"))
+        for outer, inner in (("head", "groupby"), ("head", "sort_values"),
+                             ("limit", "sort")):
+            if _chain(node, outer, inner):
+                found.append((func, node.lineno, f".{inner}().{outer}("))
     return found
 
 
@@ -198,6 +227,18 @@ def test_only_shuffle_module_exchanges():
                      + "\n".join(bad))
 
 
+def test_one_topk():
+    bad = []
+    for mod, tree in _modules():
+        if mod == EXCHANGE:
+            continue
+        for func, line, what in _topks(tree):
+            if (mod, func) not in TOPK_ALLOWED:
+                bad.append(f"spel_ray/{mod}:{line} ({func}): {what}")
+    assert not bad, ("hand-rolled top-k outside state/shuffle.py — use "
+                     "topk_rows / bucketed_topk:\n" + "\n".join(bad))
+
+
 def test_only_checkpoint_module_commits():
     bad = []
     for mod, tree in _modules():
@@ -267,14 +308,16 @@ def test_one_sketch_path():
 
 
 def test_allowlist_entries_are_live():
-    """An allowlist entry whose exchange, commit, pair enumeration or md5 is gone
-    must be removed."""
-    exchanges, commits, pairs = set(), set(), set()
+    """An allowlist entry whose exchange, top-k, commit, pair enumeration or
+    md5 is gone must be removed."""
+    exchanges, commits, pairs, topks = set(), set(), set(), set()
     for mod, tree in _modules():
         exchanges |= {(mod, func) for func, _, _ in _violations(tree)}
+        topks |= {(mod, func) for func, _, _ in _topks(tree)}
         commits |= {(mod, func) for func, _, _ in _commits(tree)}
         pairs |= {(mod, func) for func, _, _ in _pair_kernels(tree)}
     assert set(ALLOWED) <= exchanges
+    assert set(TOPK_ALLOWED) <= topks
     assert set(COMMIT_ALLOWED) <= commits
     assert set(PAIR_ALLOWED) <= pairs
     md5 = {func for mod, tree in _modules() if mod == SKETCH
