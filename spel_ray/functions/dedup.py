@@ -397,7 +397,7 @@ def sorted_neighborhood_pairs(ds: ray.data.Dataset, *, window: int = 5,
                             side="right")
         return batch.append_column("_bucket", pa.array(b, pa.int64()))
 
-    def bucket_pairs(t: pa.Table) -> pa.Table:
+    def window_pairs(t: pa.Table) -> pa.Table:
         bucket = int(t["_bucket"][0].as_py())
         df = pa.table({"id": t["id"], "key": t["key"]}).to_pandas()
         df = df.sort_values(["key", "id"], kind="mergesort")
@@ -437,7 +437,7 @@ def sorted_neighborhood_pairs(ds: ray.data.Dataset, *, window: int = 5,
     # pairs and fringe both consume this — pin so the shuffle runs once
     out = (slim.map_batches(assign, batch_format="pyarrow")
                .groupby("_bucket")
-               .map_groups(bucket_pairs, batch_format="pyarrow")
+               .map_groups(window_pairs, batch_format="pyarrow")
                .materialize())
 
     import pyarrow.compute as pc

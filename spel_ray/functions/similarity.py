@@ -67,10 +67,10 @@ def _collect_topk(ds: ray.data.Dataset, score: Callable, query_ids,
     """Run ``score(batch) -> (qi, vec_id, cosine)`` per batch, cut each
     batch to per-query top-k in the task, collect the partials and merge.
     Returns (query_id, vec_id, cosine, rank), typed even when empty."""
-    def partial(batch: pa.Table) -> pa.Table:
+    def batch_topk(batch: pa.Table) -> pa.Table:
         return _topk(pa.table(list(score(batch)), schema=_PARTIAL), k)
 
-    parts = ds.map_batches(partial, batch_format="pyarrow",
+    parts = ds.map_batches(batch_topk, batch_format="pyarrow",
                            batch_size=batch_size)
     return _merge_topk(pa.concat_tables(
         [_PARTIAL.empty_table(),

@@ -180,7 +180,7 @@ def approx_distinct(ds: ray.data.Dataset, *, value_fn, group_col: str,
     bucketed shuffle keyed on the group, then finalized to estimates."""
     m = 1 << p
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def group_registers(batch: pa.Table) -> pa.Table:
         groups, per_group = value_fn(batch)
         regs = [hll_registers(v, p=p).tobytes() for v in per_group]
         return pa.table({
@@ -188,7 +188,7 @@ def approx_distinct(ds: ray.data.Dataset, *, value_fn, group_col: str,
             "reg": pa.array(regs, pa.binary(m)),
         })
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
+    parts = ds.map_batches(group_registers, batch_format="pyarrow")
 
     def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
         out_g, out_n = [], []

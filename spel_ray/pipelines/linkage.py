@@ -229,7 +229,7 @@ def linkage_stats(res: LinkageResult, cfg: LinkageConfig | None = None) -> dict:
     (SURVEY.md §7.4 'log what was capped')."""
     thr = (cfg or LinkageConfig()).score_threshold
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def pair_counts(batch: pa.Table) -> pa.Table:
         return pa.table({
             "n": [batch.num_rows],
             "n_capped": [pc.sum(pc.cast(batch["capped"], pa.int64())).as_py() or 0],
@@ -238,7 +238,7 @@ def linkage_stats(res: LinkageResult, cfg: LinkageConfig | None = None) -> dict:
                 pc.greater_equal(batch["score"], thr), pa.int64())).as_py() or 0],
         })
 
-    parts = res.pairs.map_batches(partial, batch_format="pyarrow").take_all()
+    parts = res.pairs.map_batches(pair_counts, batch_format="pyarrow").take_all()
     n = sum(p["n"] for p in parts)
     capped = sum(p["n_capped"] for p in parts)
     exact = sum(p["n_exact"] for p in parts)

@@ -210,14 +210,14 @@ def alignment_report(aligned: ray.data.Dataset) -> dict:
     accuracy over two-sided units (partial per batch, final on driver)."""
     import pyarrow as pa
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def status_counts(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         g = df.groupby("status", sort=False).agg(
             n=("status", "size"), n_correct=("correct", "sum")).reset_index()
         return pa.Table.from_pandas(g, preserve_index=False) \
                        .replace_schema_metadata(None)
 
-    parts = aligned.map_batches(partial, batch_format="pyarrow").to_pandas()
+    parts = aligned.map_batches(status_counts, batch_format="pyarrow").to_pandas()
     agg = parts.groupby("status").sum()
     counts = {s: int(n) for s, n in agg["n"].items()}
     two_sided = {s: c for s, c in counts.items()

@@ -97,13 +97,13 @@ def _to_directed(batch: pa.Table) -> pa.Table:
 
 def _checksum(edges: ray.data.Dataset) -> tuple[int, int]:
     """(row count, order-independent uint64 checksum) of an edge set."""
-    def partial(batch: pa.Table) -> pa.Table:
+    def edge_checksum(batch: pa.Table) -> pa.Table:
         pk = pair_key(np.asarray(batch["lo"]), np.asarray(batch["hi"]))
         s = int(pk.view(np.uint64).sum(dtype=np.uint64))
         return pa.table({"s": pa.array([s], pa.uint64()),
                          "c": pa.array([batch.num_rows], pa.int64())})
 
-    parts = edges.map_batches(partial, batch_format="pyarrow").take_all()
+    parts = edges.map_batches(edge_checksum, batch_format="pyarrow").take_all()
     total = sum(int(p["s"]) for p in parts) % (1 << 64)
     count = sum(int(p["c"]) for p in parts)
     return count, total

@@ -5,6 +5,7 @@ typed, and the config reaches every tail."""
 
 import json
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -13,10 +14,11 @@ import ray.data as rd
 from spel_ray.config import LinkageConfig
 from spel_ray.functions.dedup import minhash_dedup
 from spel_ray.pipelines.incremental import incremental_link
-from spel_ray.pipelines.linkage import run_linkage
+from spel_ray.pipelines.linkage import linkage_stats, run_linkage
 from spel_ray.pipelines.sharded import run_linkage_sharded, sharded_block_rows
 from spel_ray.sources.synth import generate_code_table
 from spel_ray.stages.blocking import block_keys
+from spel_ray.stages.fingerprint import row_id_batch
 from spel_ray.state.checkpoint import CheckpointedRun
 
 STAGES = ["fingerprint", "block_keys", "pairs", "edges", "components",
@@ -203,6 +205,33 @@ def test_degenerate_inputs_are_typed(tiny_code_table, n):
     assert _schema(out) == pa.schema([("doc_id", pa.int64()),
                                       ("cluster_id", pa.int64())])
     assert out.take_all() == [{"doc_id": 7, "cluster_id": 7}] * n
+
+
+def test_hot_block_of_identical_rows_takes_the_capped_chain():
+    """10k copies of one content share every band block: each block must
+    emit the capped n-1 chain, not C(n,2), and still link one cluster."""
+    n = 10_000
+    rng = np.random.default_rng(9)
+    hot = "def boilerplate(x):\n    return x + 1  # generated\n" * 3
+    others = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz ;{}()"),
+                                 400)) for _ in range(4)]
+    contents = [hot] * n + others
+    t = pa.table({"repo": [f"org/r{i}" for i in range(len(contents))],
+                  "path": ["a.py"] * len(contents),
+                  "commit": ["c0"] * len(contents),
+                  "lang": ["python"] * len(contents), "content": contents})
+    res = run_linkage(rd.from_arrow(t), LinkageConfig(), num_buckets=8)
+    hot_ids = set(row_id_batch(t.slice(0, n))["row_id"].to_pylist())
+
+    sizes = _clusters(res).groupby("cluster_id")["row_id"].agg(set)
+    assert sorted(map(len, sizes)) == [1] * len(others) + [n]
+    assert hot_ids in list(sizes)
+
+    stats = linkage_stats(res)
+    assert stats["pairs"] == stats["capped_pairs"] == n - 1
+    pairs = res.pairs.to_pandas()
+    assert set(pairs["id_lo"]) | set(pairs["id_hi"]) == hot_ids
+    assert pairs["capped"].all()
 
 
 def test_empty_delta_keeps_the_clusters(tiny_code_table):

@@ -25,6 +25,9 @@
   views ``.signature(`` / ``.token_signature(`` / ``.shingle_hashes(``;
   every other module sketches a batch through ``MinHasher.__call__``. Inside
   it, ``hashlib.md5`` runs only in the batch token-vocabulary step.
+- Named UDFs: no function in ``spel_ray`` is called ``partial`` (it would
+  shadow ``functools.partial``, and a plan's stats would read
+  ``MapBatches(partial)``); each is named after what it computes.
 """
 
 import ast
@@ -305,6 +308,15 @@ def test_one_sketch_path():
     assert not bad, ("per-text sketch outside stages/minhash.py or md5 "
                      "outside its batch token vocabulary — sketch a batch "
                      "with MinHasher(cfg)(table):\n" + "\n".join(bad))
+
+
+def test_no_function_is_named_partial():
+    bad = [f"spel_ray/{mod}:{node.lineno}" for mod, tree in _modules()
+           for _, node in _nodes(tree)
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+           and node.name == "partial"]
+    assert not bad, ("name the function after what it computes:\n"
+                     + "\n".join(bad))
 
 
 def test_allowlist_entries_are_live():

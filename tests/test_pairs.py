@@ -2,6 +2,7 @@
 chain for hot blocks), the one pair merge (FIXTURES.md §5 overlap-merge
 fixture), and every pair producer built on them."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -105,14 +106,18 @@ def _brute_force(keys, ids, cap):
     return out
 
 
-def test_block_pairs_matches_brute_force():
+def _random_cases():
     rng = np.random.default_rng(0)
     cases = [(np.zeros(0, np.int64), np.zeros(0, np.int64), 3)]  # 0 rows
     for _ in range(200):
         n = int(rng.integers(0, 40))
         cases.append((rng.integers(-3, 4, n), rng.integers(0, 12, n),
                       int(rng.integers(1, 8))))
-    for keys, ids, cap in cases:
+    return cases
+
+
+def test_block_pairs_matches_brute_force():
+    for keys, ids, cap in _random_cases():
         got = set()
         for rows, a, b, capped in block_pairs(keys, ids, cap):
             assert len(set(keys[rows])) == 1         # one block per yield
@@ -128,6 +133,110 @@ def test_block_pairs_matches_brute_force():
         assert {(int(keys[x]), int(ids[x]), int(ids[y]), bool(c))
                 for x, y, c in zip(lo, hi, capped)} == got
         assert len(lo) == len(got)                   # no duplicate pair
+
+
+def _loop_block_pairs(keys, ids, cap: int):
+    """The per-block generator and loop the vectorized ``bucket_pairs``
+    replaced, kept verbatim as the reference model."""
+    keys = np.asarray(keys, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
+    order = np.lexsort((ids, keys))
+    k, i = keys[order], ids[order]
+    distinct = np.ones(len(k), dtype=bool)
+    distinct[1:] = (k[1:] != k[:-1]) | (i[1:] != i[:-1])
+    sel, k = order[distinct], k[distinct]
+    first = np.ones(len(k), dtype=bool)
+    first[1:] = k[1:] != k[:-1]
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.r_[starts, len(k)])
+    multi = sizes > 1
+    for start, n in zip(starts[multi].tolist(), sizes[multi].tolist()):
+        if n <= cap:
+            a, b = np.triu_indices(n, k=1)
+        else:   # hot block: connectivity chain, O(n) not O(n^2)
+            a = np.arange(n - 1)
+            b = a + 1
+        yield sel[start:start + n], a, b, n > cap
+
+
+def _loop_bucket_pairs(keys, ids, cap: int):
+    lo, hi, capped = ([np.zeros(0, np.int64)], [np.zeros(0, np.int64)],
+                      [np.zeros(0, bool)])
+    for rows, a, b, c in _loop_block_pairs(keys, ids, cap):
+        lo.append(rows[a])
+        hi.append(rows[b])
+        capped.append(np.full(len(a), c))
+    return np.concatenate(lo), np.concatenate(hi), np.concatenate(capped)
+
+
+def _assert_same(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _edge_cases():
+    big = np.iinfo(np.int64)
+    return [
+        # one block exactly at cap 4, one at cap + 1, in shuffled order
+        (np.r_[[7] * 4, [9] * 5],
+         np.r_[[4, 1, 3, 2], [15, 11, 14, 12, 13]], 4),
+        # negative and extreme keys and ids
+        (np.array([-5, -5, big.min, big.min, big.max, big.max, -1]),
+         np.array([3, -2, big.max, 0, -7, big.min, 1]), 64),
+        # repeated (key, id) rows, in a full block and a capped one
+        (np.array([1, 1, 1, 1, 2, 2, 2, 2, 2]),
+         np.array([5, 5, 6, 5, 8, 8, 9, 10, 9]), 2),
+        (np.zeros(0, np.int64), np.zeros(0, np.int64), 0),     # 0 rows
+        (np.array([3, 3, 3, 3]), np.array([1, 1, 1, 1]), 1),   # one member
+    ]
+
+
+def test_bucket_pairs_equals_the_per_block_loop():
+    cases = _random_cases() + _edge_cases()
+    for keys, ids, cap in cases:
+        for c in (cap, 0, 1, 64):
+            _assert_same(bucket_pairs(keys, ids, c),
+                         _loop_bucket_pairs(keys, ids, c))
+    # a chunked Arrow key column, as simhash_candidates passes
+    keys, ids, _ = _edge_cases()[0]
+    chunked = pa.chunked_array([keys[:3], keys[3:]], pa.int64())
+    for c in (0, 1, 64):
+        _assert_same(bucket_pairs(chunked, ids, c),
+                     _loop_bucket_pairs(keys, ids, c))
+
+
+def test_bucket_pairs_makes_no_per_block_call(monkeypatch):
+    """One pass over all blocks: no ``triu_indices`` call per block."""
+    rng = np.random.default_rng(5)
+    keys, ids = rng.integers(0, 300, 2000), rng.integers(0, 5000, 2000)
+    want = _loop_bucket_pairs(keys, ids, 8)
+    assert want[2].any() and not want[2].all()       # full and capped blocks
+
+    def no_per_block_call(*args, **kwargs):
+        raise AssertionError("np.triu_indices called")
+
+    monkeypatch.setattr(np, "triu_indices", no_per_block_call)
+    _assert_same(bucket_pairs(keys, ids, 8), want)
+
+
+# sha256 of the merged flagship pair table on the 2k fixture, every column,
+# rows sorted by (id_lo, id_hi); unchanged since the per-block loop
+FLAGSHIP_PAIRS_SHA256 = \
+    "cc8ba35b9360997bbad4ee72a7199ddcfd0222c11f7bf6f5a5e2cbb0b3293dc7"
+
+
+def test_flagship_pairs_pinned():
+    from spel_ray.pipelines.linkage import run_linkage
+    from spel_ray.sources.synth import generate_code_table
+
+    res = run_linkage(rd.from_arrow(generate_code_table(2000, seed=42)),
+                      LinkageConfig())
+    p = pa.concat_tables(list(res.pairs.iter_batches(
+        batch_size=None, batch_format="pyarrow")))
+    p = p.sort_by([("id_lo", "ascending"), ("id_hi", "ascending")])
+    assert p.num_rows == 8006
+    digest = hashlib.sha256(repr(p.to_pydict()).encode()).hexdigest()
+    assert digest == FLAGSHIP_PAIRS_SHA256
 
 
 def test_merge_bucket_matches_a_dict_fold():

@@ -26,6 +26,11 @@ def test_detect_lang():
     assert detect_lang("") == "und"
 
 
+def test_analyze_documents_operator_is_named():
+    stats = analyze_documents(_docs()).materialize().stats()
+    assert "MapBatches(TextAnalyzer)" in stats and "<lambda>" not in stats
+
+
 def test_analyze_documents_columns_and_values():
     out = analyze_documents(_docs()).to_pandas().set_index("doc_id")
     assert {"pred_lang", "n_tokens_ws", "n_tokens_bpe", "stop_ratio",
