@@ -95,6 +95,11 @@ class LinkageConfig:
             raise ValueError(
                 f"sha_prefix_len must be in 1..16 (the exact key hashes at "
                 f"most the first 64 sha bits), got {self.sha_prefix_len}")
+        if self.suppress_dup_bands and self.blocker != "lsh-minhash":
+            raise ValueError(
+                f"suppress_dup_bands elects band carriers for the default "
+                f"'lsh-minhash' blocker only; blocker={self.blocker!r} would "
+                f"ignore them")
 
     def fingerprint(self) -> str:
         """Stable hash of the config — part of every checkpoint manifest."""

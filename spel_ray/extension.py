@@ -15,7 +15,9 @@ A custom implementation registers under a name and is selected purely via
 config string participates in ``cfg.fingerprint()``, checkpoints key
 correctly on the plugin choice. Registry lookups happen DRIVER-side when
 the pipeline is built; the resolved instance is cloudpickled into the task
-closures, so worker processes never need the registration import.
+closures, so worker processes never need the registration import. The
+blocker is resolved in one place, ``stages/blocking.blocker_for``, which
+batch linkage, serving queries and serving upserts all run.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 
 from spel_ray.config import LinkageConfig
+from spel_ray.stages.blocking import LshBlocker
 
 
 @runtime_checkable
@@ -50,9 +53,9 @@ class PairScorer(Protocol):
 class Blocker(Protocol):
     """map_batches callable: fingerprinted records → exploded block rows.
 
-    Must emit the columns in ``spel_ray.stages.blocking.BLOCK_SCHEMA_COLS``
-    (block_key, row_id, sig, sig_tok, n_chars, sha16) so downstream pair
-    generation and scoring stay plugin-agnostic. Block membership must be a
+    Must emit rows in ``spel_ray.stages.blocking.block_schema(cfg)``
+    (block_key, row_id, sig, sig_tok, n_chars, sha16) so pair generation,
+    scoring and serving stay plugin-agnostic. Block membership must be a
     pure per-row function (never depend on batch boundaries — determinism
     across parallelism levels depends on it)."""
 
@@ -123,17 +126,5 @@ class SketchBlendScorer:
                                  n_lo, n_hi, sha_eq)
 
 
-@register_blocker("lsh-minhash")
-def _default_blocker(cfg: LinkageConfig) -> Blocker:
-    """Default: MinHash sketch + LSH band / exact-key explode as ONE
-    callable (the in-pipeline fast path runs the same two stages unfused to
-    support carrier-based duplicate suppression)."""
-    from spel_ray.stages.blocking import BlockKeyExploder
-    from spel_ray.stages.minhash import MinHasher
-
-    hasher = MinHasher(cfg)
-    exploder = BlockKeyExploder(cfg)
-
-    def run(batch: pa.Table) -> pa.Table:
-        return exploder(hasher(batch))
-    return run
+# the default Blocker: MinHash sketch + exact / LSH band keys
+register_blocker("lsh-minhash")(LshBlocker)

@@ -34,7 +34,7 @@ import ray
 import ray.data
 
 from spel_ray.config import LinkageConfig
-from spel_ray.functions.similarity import embeddings
+from spel_ray.functions.similarity import embeddings, hyperplane_keys
 from spel_ray.stages.minhash import fixed_binary_view
 from spel_ray.stages.pairs import block_pairs, bucket_pairs, merge_pairs
 from spel_ray.state.shuffle import bucketed_groupby
@@ -235,18 +235,6 @@ def embedding_neardup_pairs(ds: ray.data.Dataset, *, threshold: float = 0.95,
     τ = 0.9 and < 1e-9 for the near-identical pairs dedup targets — in
     practice exact (the sf oracles hash-match the quadratic SQL join), while
     candidate generation stays near-linear instead of O(n²)."""
-    planes_by_dim: dict[int, np.ndarray] = {}
-
-    def planes_for(dim: int) -> np.ndarray:
-        p = planes_by_dim.get(dim)
-        if p is None:
-            p = np.random.default_rng(seed).standard_normal(
-                (n_tables, n_planes, dim))
-            planes_by_dim[dim] = p
-        return p
-
-    pows = (np.int64(1) << np.arange(n_planes, dtype=np.int64))
-
     def explode(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         if n == 0:
@@ -258,9 +246,11 @@ def embedding_neardup_pairs(ds: ray.data.Dataset, *, threshold: float = 0.95,
         emb = emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True),
                                1e-12)
         d = emb.shape[1]
-        signs = np.einsum("nd,tpd->ntp", emb, planes_for(d)) > 0  # (n, T, P)
-        vals = (signs * pows[None, None, :]).sum(axis=2)          # (n, T)
-        keys = (vals << 6) | np.arange(n_tables, dtype=np.int64)[None, :]
+        # the planes are drawn per batch: the dim is known only here, and
+        # n_tables × n_planes × d normals cost far less than the projection
+        planes = np.random.default_rng(seed).standard_normal(
+            (n_tables, n_planes, d))
+        keys = hyperplane_keys(emb, planes)                       # (n, T)
         packed = pa.FixedSizeBinaryArray.from_buffers(
             pa.binary(d * 8), n, [None, pa.py_buffer(emb.tobytes())])
         base = pa.table({id_col: pa.array(ids, pa.int64()), "_emb": packed})
@@ -442,15 +432,16 @@ def sorted_neighborhood_pairs(ds: ray.data.Dataset, *, window: int = 5,
 
     import pyarrow.compute as pc
 
-    pairs_ds = out.map_batches(
-        lambda t: t.filter(pc.equal(t["kind"], 0))
-                   .select(["id_lo", "id_hi", "dist"]),
-        batch_format="pyarrow")
+    def in_window_pairs(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["kind"], 0)) \
+                .select(["id_lo", "id_hi", "dist"])
 
-    fringe = out.map_batches(
-        lambda t: t.filter(pc.equal(t["kind"], 1))
-                   .select(["id_lo", "bucket", "pos", "bucket_n"]),
-        batch_format="pyarrow").to_pandas()
+    def fringe_rows(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["kind"], 1)) \
+                .select(["id_lo", "bucket", "pos", "bucket_n"])
+
+    pairs_ds = out.map_batches(in_window_pairs, batch_format="pyarrow")
+    fringe = out.map_batches(fringe_rows, batch_format="pyarrow").to_pandas()
 
     cross = {"id_lo": [], "id_hi": [], "dist": []}
     if len(fringe):

@@ -78,5 +78,5 @@ def scrub_documents(ds: ray.data.Dataset, *, text_col: str = "text",
     observability count (curation pipelines audit how much was redacted —
     a cap that silently rewrites data is the thing the repo never does)."""
     return ds.map_batches(
-        lambda b: scrub_table(b, text_col=text_col, id_col=id_col),
+        scrub_table, fn_kwargs={"text_col": text_col, "id_col": id_col},
         batch_format="pyarrow")

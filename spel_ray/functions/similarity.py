@@ -190,6 +190,20 @@ def ann_topk_ivf(ds: ray.data.Dataset, queries: np.ndarray,
     return _collect_topk(ds, score, query_ids, k, 4096)
 
 
+def hyperplane_keys(emb: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """(n, n_tables) int64 random-hyperplane LSH keys (Charikar 2002) of
+    ``emb`` under ``planes`` (n_tables, n_planes, dim): table t's sign bits,
+    plane p as bit p, shifted over the table id so tables never share a
+    key. The one key kernel of :func:`ann_topk_lsh` and
+    ``dedup.embedding_neardup_pairs`` (Ray-free)."""
+    n_tables, n_planes, dim = planes.shape
+    signs = (emb @ planes.reshape(-1, dim).T > 0).reshape(
+        -1, n_tables, n_planes)
+    bits = (signs.astype(np.int64)
+            << np.arange(n_planes, dtype=np.int64)).sum(axis=2)
+    return (bits << 6) | np.arange(n_tables, dtype=np.int64)
+
+
 def ann_topk_lsh(ds: ray.data.Dataset, queries: np.ndarray,
                  query_ids: np.ndarray, k: int = 10, *,
                  id_col: str = "vec_id", emb_col: str = "embedding",
@@ -202,18 +216,7 @@ def ann_topk_lsh(ds: ray.data.Dataset, queries: np.ndarray,
     planes = rng.standard_normal((n_tables, n_planes, dim))
     qm = _normalize(np.asarray(queries, dtype=np.float64))
 
-    def bucket_of(m: np.ndarray) -> np.ndarray:
-        """(n, n_tables) int64 bucket keys."""
-        out = np.empty((m.shape[0], n_tables), dtype=np.int64)
-        for t in range(n_tables):
-            signs = (m @ planes[t].T) > 0                  # (n, planes)
-            key = np.zeros(m.shape[0], dtype=np.int64)
-            for p in range(n_planes):
-                key = (key << 1) | signs[:, p]
-            out[:, t] = (key << 6) | t                     # mix table id
-        return out
-
-    q_buckets = bucket_of(qm)                               # (Q, T)
+    q_buckets = hyperplane_keys(qm, planes)                 # (Q, T)
     # query side broadcast: bucket -> list of query indices
     q_map: dict[int, list[int]] = {}
     for qi in range(qm.shape[0]):
@@ -225,7 +228,7 @@ def ann_topk_lsh(ds: ray.data.Dataset, queries: np.ndarray,
         qmap, q = ray.get(q_ref)
         ids = np.asarray(batch[id_col], np.int64)
         emb = _normalize(embeddings(batch[emb_col]))
-        bks = bucket_of(emb)                                # (b, T)
+        bks = hyperplane_keys(emb, planes)                  # (b, T)
         # vectorized probe: translate the batch's DISTINCT bucket keys once,
         # expand to (row, query) pairs with repeats, dedupe, then one gather
         # + rowwise dot — no per-row Python set union

@@ -63,11 +63,12 @@ def curate_documents(ds: ray.data.Dataset, *,
         # bucketed SEMI-JOIN (both sides shuffled by doc_id hash) — never a
         # driver-side id-set broadcast, which would scale with corpus size.
         # The slim id table is pinned: the join reads its schema and rows.
+        def representatives(t: pa.Table) -> pa.Table:
+            keep = pc.equal(t["doc_id"], t["cluster_id"])
+            return pa.table({"doc_id": t.filter(keep)["doc_id"]})
+
         reps = clusters.map_batches(
-            lambda t: pa.table({
-                "doc_id": t.filter(pc.equal(t["doc_id"],
-                                            t["cluster_id"]))["doc_id"]}),
-            batch_format="pyarrow").materialize()
+            representatives, batch_format="pyarrow").materialize()
         deduped = bucketed_join(deduped, reps, "doc_id", "doc_id",
                                 how="semi", num_buckets=num_buckets)
 
@@ -117,6 +118,11 @@ def stratified_sample(ds: ray.data.Dataset, *, per_group: int,
         .drop_columns(["_rk"])
 
 
+def split_rows(t: pa.Table, part: str) -> pa.Table:
+    """The rows of one split (``part`` column) of a curated batch."""
+    return t.filter(pc.equal(t["part"], part))
+
+
 def write_curated(ds: ray.data.Dataset, out_dir: str) -> dict:
     """Partitioned output: one directory per split (resumable-output
     shape). Returns per-split row counts. The curated dataset is pinned
@@ -125,9 +131,8 @@ def write_curated(ds: ray.data.Dataset, out_dir: str) -> dict:
     ds = ds.materialize()
     counts: dict[str, int] = {}
     for part in ["train", "test"]:
-        sub = ds.map_batches(
-            lambda t, p=part: t.filter(pc.equal(t["part"], p)),
-            batch_format="pyarrow").materialize()
+        sub = ds.map_batches(split_rows, fn_args=(part,),
+                             batch_format="pyarrow").materialize()
         sub.write_parquet(f"{out_dir}/part={part}")
         counts[part] = sub.count()
     return counts

@@ -720,8 +720,11 @@ def q_simhash_clusters_docs(sf_dir: str) -> pd.DataFrame:
 
     star = connected_components(cand.map_batches(to_edges, batch_format="pyarrow"),
                                 num_buckets=8)
-    recs = ds.map_batches(lambda b: pa.table({"row_id": b["doc_id"]}),
-                          batch_format="pyarrow")
+
+    def doc_row_ids(batch: pa.Table) -> pa.Table:
+        return pa.table({"row_id": batch["doc_id"]})
+
+    recs = ds.map_batches(doc_row_ids, batch_format="pyarrow")
     out = assign_clusters(recs, star, num_buckets=8).to_pandas()
     return out.sort_values("row_id").reset_index(drop=True)
 
@@ -827,11 +830,12 @@ def q_union_names(sf_dir: str) -> pd.DataFrame:
     r = ray.data.read_parquet(f"{sf_dir}/region.parquet", columns=["r_name"])
     n = ray.data.read_parquet(f"{sf_dir}/nation.parquet", columns=["n_name"])
 
-    def rn(batch: pa.Table, col: str) -> pa.Table:
+    def as_name(batch: pa.Table, col: str) -> pa.Table:
         return pa.table({"name": batch[col]})
 
-    u = r.map_batches(lambda b: rn(b, "r_name"), batch_format="pyarrow").union(
-        n.map_batches(lambda b: rn(b, "n_name"), batch_format="pyarrow"))
+    u = r.map_batches(as_name, fn_args=("r_name",), batch_format="pyarrow") \
+        .union(n.map_batches(as_name, fn_args=("n_name",),
+                             batch_format="pyarrow"))
     return u.to_pandas().sort_values("name").reset_index(drop=True)
 
 

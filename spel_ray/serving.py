@@ -7,11 +7,14 @@ model state, then per-request annotate. The engine analog:
 - :class:`LinkageIndex` — built once from a code-table Dataset: the corpus
   runs the SAME chain head as batch linkage (``link_head``: fingerprint →
   block rows), so online results agree with batch results by construction;
-  the block rows become columnar feature arrays sorted by block key; a
-  probe binary-searches the distinct keys and gathers their row ranges.
-- :meth:`LinkageIndex.link` — sketches the single record through the same
-  stages, probes its block keys, scores the colocated candidates with the
-  configured PairScorer, returns ranked matches.
+  the block rows become columnar feature arrays (``block_features``) sorted
+  by block key; a probe binary-searches the distinct keys and gathers their
+  row ranges.
+- :meth:`LinkageIndex.link` — turns the query into block rows with the SAME
+  blocker as the corpus (``blocking.blocker_for(cfg)``: the configured
+  Blocker, custom or default; upserts run it too), probes its block keys,
+  scores the colocated candidates with the configured PairScorer, returns
+  ranked matches.
 - :func:`serving_actor` — one index as a Ray actor, built from block rows
   or from one shard's parquet partition: a serving replica (N replicas = N
   actors; the reference serializes requests under a lock,
@@ -28,6 +31,8 @@ contains the global top-k).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import pyarrow as pa
 import ray
@@ -35,36 +40,18 @@ import ray.data
 
 from spel_ray.config import LinkageConfig
 from spel_ray.extension import get_scorer
-from spel_ray.stages.blocking import BlockKeyExploder
+from spel_ray.stages.blocking import block_features, block_schema, blocker_for
 from spel_ray.stages.fingerprint import fingerprint_batch
-from spel_ray.stages.minhash import MinHasher, fixed_binary_view, sig_dtype
 
 
-def _features(t: pa.Table, cfg: LinkageConfig):
-    """Columnar feature arrays from exploded block rows (the signature and
-    sha columns are read-only views of the Arrow buffers)."""
-    return {
-        "block_key": np.asarray(t["block_key"], dtype=np.int64),
-        "row_id": np.asarray(t["row_id"], dtype=np.int64),
-        "sig": fixed_binary_view(t["sig"], cfg.num_perm, sig_dtype(cfg)),
-        "sig_tok": fixed_binary_view(t["sig_tok"], cfg.num_perm_tok,
-                                     sig_dtype(cfg)),
-        "n_chars": np.asarray(t["n_chars"], dtype=np.int64),
-        "sha16": fixed_binary_view(t["sha16"], 16, np.uint8)
-                 .view("S16").ravel(),
-    }
-
-
-def _batch_query_features(cfg: LinkageConfig, sketch: "MinHasher",
-                          explode: "BlockKeyExploder",
-                          contents: list, langs: list) -> list[dict]:
-    """Sketch a BATCH of query records in one vectorized pass through the
-    same stages as the corpus — THE single definition of the query-side
-    feature computation, shared by every link path (a duplicate recipe
-    would silently desync probe-key routing). The exploded rows are split
-    back into one feature dict per query: distinct synthetic paths give
-    each query a distinct row_id to group on, and row_id itself never
-    affects scoring or key routing."""
+def _batch_query_features(cfg: LinkageConfig, blocker, contents: list,
+                          langs: list) -> list[dict]:
+    """Block rows of a BATCH of query records from one pass of ``blocker``
+    (the corpus's own ``blocker_for(cfg)``, so query keys land in the
+    corpus's blocks whatever Blocker is configured), read by
+    ``block_features`` and split back into one feature dict per query:
+    distinct synthetic paths give each query a distinct row_id to group on,
+    and row_id itself never affects scoring or key routing."""
     n = len(contents)
     tbl = pa.table({
         "repo": pa.array(["__query__"] * n, pa.string()),
@@ -78,7 +65,7 @@ def _batch_query_features(cfg: LinkageConfig, sketch: "MinHasher",
         raise RuntimeError(f"fingerprint_batch returned {fp.num_rows} rows "
                            f"for {n} queries")
     rid_to_qi = {int(r): i for i, r in enumerate(fp["row_id"].to_pylist())}
-    f = _features(explode(sketch(fp)), cfg)
+    f = block_features(blocker(fp), cfg)
     out: list[dict | None] = [None] * n
     order = np.argsort(f["row_id"], kind="stable")
     rids = f["row_id"][order]
@@ -98,39 +85,29 @@ def _rank_merged(best: dict, k: int) -> list[dict]:
     return [{**h, "score": round(h["score"], 6)} for h in merged[:k]]
 
 
-def _empty_block_rows(cfg: LinkageConfig) -> pa.Table:
-    return pa.table({
-        "block_key": pa.array([], pa.int64()),
-        "row_id": pa.array([], pa.int64()),
-        "sig": pa.array([], pa.binary(cfg.num_perm * cfg.sig_bytes)),
-        "sig_tok": pa.array([], pa.binary(cfg.num_perm_tok * cfg.sig_bytes)),
-        "n_chars": pa.array([], pa.int64()),
-        "sha16": pa.array([], pa.binary(16)),
-    })
-
-
 class LinkageIndex:
     """In-memory blocking index over a corpus for single-record linking."""
 
     def __init__(self, cfg: LinkageConfig, block_rows: pa.Table):
         self.cfg = cfg
-        self._sketch = MinHasher(cfg)
-        self._explode = BlockKeyExploder(cfg)
         self._scorer = get_scorer(cfg.scorer)
         self._delta: "LinkageIndex | None" = None
         self._load(block_rows)
 
+    @cached_property
+    def _blocker(self):
+        """``blocker_for(cfg)``, built on first featurization: a shard actor
+        or a delta segment only probes and never builds one (and a worker
+        process would not see a user-registered blocker)."""
+        return blocker_for(self.cfg)
+
     def _load(self, block_rows: pa.Table) -> None:
         """(Re)build the sorted probe arrays from exploded block rows, every
         row alive."""
-        f = _features(block_rows, self.cfg)
+        f = block_features(block_rows, self.cfg)
         order = np.argsort(f["block_key"], kind="stable")
-        self._keys = f["block_key"][order]
-        self._row_id = f["row_id"][order]
-        self._sig = f["sig"][order]
-        self._sig_tok = f["sig_tok"][order]
-        self._n_chars = f["n_chars"][order]
-        self._sha16 = f["sha16"][order]
+        (self._keys, self._row_id, self._sig, self._sig_tok, self._n_chars,
+         self._sha16) = (v[order] for v in f.values())   # block_schema order
         # deletion vector: add() evicts a superseded row by clearing its
         # bits; compaction drops the dead rows from the arrays
         self._alive = np.ones(len(self._keys), dtype=bool)
@@ -146,22 +123,15 @@ class LinkageIndex:
         """Live probe arrays → block rows (pure buffer repacking; used by
         compaction so the index never has to retain its input table
         alongside the arrays)."""
-        cfg = self.cfg
-        live = self._alive
-        n = self._n_live()
-
-        def fsb(arr, width):
-            return pa.FixedSizeBinaryArray.from_buffers(
-                pa.binary(width), n, [None, pa.py_buffer(arr[live].tobytes())])
-
-        return pa.table({
-            "block_key": pa.array(self._keys[live], pa.int64()),
-            "row_id": pa.array(self._row_id[live], pa.int64()),
-            "sig": fsb(self._sig, cfg.num_perm * cfg.sig_bytes),
-            "sig_tok": fsb(self._sig_tok, cfg.num_perm_tok * cfg.sig_bytes),
-            "n_chars": pa.array(self._n_chars[live], pa.int64()),
-            "sha16": fsb(self._sha16, 16),
-        })
+        live, n = self._alive, self._n_live()
+        schema = block_schema(self.cfg)
+        arrays = (self._keys, self._row_id, self._sig, self._sig_tok,
+                  self._n_chars, self._sha16)
+        return pa.Table.from_arrays([
+            pa.FixedSizeBinaryArray.from_buffers(
+                fd.type, n, [None, pa.py_buffer(a[live].tobytes())])
+            if a.ndim == 2 else pa.array(a[live], fd.type)
+            for fd, a in zip(schema, arrays)], schema=schema)
 
     # ---------------------------------------------------------------- build
     @classmethod
@@ -174,11 +144,8 @@ class LinkageIndex:
         cfg = cfg or LinkageConfig()
         _, rows = link_head(records, cfg)
         batches = list(rows.iter_batches(batch_format="pyarrow"))
-        if batches:
-            tbl = pa.concat_tables(batches)
-        else:                                   # empty corpus
-            tbl = _empty_block_rows(cfg)
-        return cls(cfg, tbl)
+        return cls(cfg, pa.concat_tables(batches) if batches
+                   else block_schema(cfg).empty_table())     # empty corpus
 
     # ----------------------------------------------------------------- link
     def _live_positions(self, block_keys: np.ndarray) -> np.ndarray:
@@ -217,7 +184,7 @@ class LinkageIndex:
             tok_hi=self._sig_tok[pos],
             n_lo=np.repeat(f["n_chars"][:1], n),
             n_hi=self._n_chars[pos],
-            sha_eq=(self._sha16[pos] == f["sha16"][0]))
+            sha_eq=(self._sha16[pos] == f["sha16"][0]).all(axis=1))
         keep = np.flatnonzero(score >= thr)
         order = keep[np.lexsort((self._row_id[pos][keep], -score[keep]))][:k]
         return [{"row_id": int(self._row_id[pos][i]),
@@ -260,8 +227,8 @@ class LinkageIndex:
         (pinned by ``test_link_many_matches_link``)."""
         thr = self.cfg.score_threshold if min_score is None else min_score
         langs = langs if langs is not None else ["txt"] * len(contents)
-        feats = _batch_query_features(self.cfg, self._sketch, self._explode,
-                                      contents, langs)
+        feats = _batch_query_features(self.cfg, self._blocker, contents,
+                                      langs)
         return [self._link_features(f, thr, k) for f in feats]
 
     def _drop_row_ids(self, ids_sorted: np.ndarray) -> None:
@@ -284,17 +251,18 @@ class LinkageIndex:
         serve time, ``candidate_manager.py:30-56``; this engine's index can
         follow the corpus instead).
 
-        LSM-style: new rows are sketched through the SAME stages as the
-        corpus build and appended to a small delta segment (rebuilt per add
-        — the delta is bounded by ``compact_ratio`` × main); probes fan out
-        to main + delta and merge exactly (disjoint row sets, same scorer).
+        LSM-style: new rows get their block rows from the SAME blocker as
+        the corpus and the queries (``blocker_for(cfg)``) and are appended
+        to a small delta segment (rebuilt per add — the delta is bounded by
+        ``compact_ratio`` × main); probes fan out to main + delta and merge
+        exactly (disjoint row sets, same scorer).
         Evicting a previous version from main is a bit flip in its deletion
         vector, not a rebuild. When the delta or main's dead rows outgrow
         ``compact_ratio`` of main's live rows, one sorted rebuild compacts
         the delta into main and folds the deletion vector in. Returns the
         number of records absorbed."""
-        rows = self._explode(self._sketch(fingerprint_batch(
-            records, strip_comments=self.cfg.strip_comments)))
+        rows = self._blocker(fingerprint_batch(
+            records, strip_comments=self.cfg.strip_comments))
         # upsert: evict any previous version of the incoming rows first
         if rows.num_rows:
             new_ids = np.unique(np.asarray(rows["row_id"], np.int64))
@@ -322,7 +290,7 @@ def _read_partition(cfg: LinkageConfig, path: str) -> pa.Table:
     import pyarrow.dataset as pads
 
     if not os.path.isdir(path):         # the shard got no block rows at all
-        return _empty_block_rows(cfg)
+        return block_schema(cfg).empty_table()
     t = pads.dataset(path).to_table()
     return t.select([c for c in t.column_names if c != "shard"])
 
@@ -380,8 +348,7 @@ class ShardedLinkageIndex:
         self.cfg = cfg
         self._actors = actors
         self._n = n_shards
-        self._sketch = MinHasher(cfg)
-        self._explode = BlockKeyExploder(cfg)
+        self._blocker = blocker_for(cfg)
 
     @classmethod
     def build(cls, records: ray.data.Dataset,
@@ -437,8 +404,7 @@ class ShardedLinkageIndex:
         cfg = self.cfg
         thr = cfg.score_threshold if min_score is None else min_score
         langs = langs if langs is not None else ["txt"] * len(contents)
-        feats = _batch_query_features(cfg, self._sketch, self._explode,
-                                      contents, langs)
+        feats = _batch_query_features(cfg, self._blocker, contents, langs)
         per_shard: dict[int, list[int]] = {}
         for qi, f in enumerate(feats):
             if f is None or not len(f["block_key"]):

@@ -1,6 +1,12 @@
 """Blocking — explode each record to (block_key, row features) rows.
 
-Two key families (the engine's candidate-set construction, ≙ reference
+The one module that knows how block rows are made and laid out: batch
+linkage (:func:`block_keys`), serving queries and serving upserts all run
+:func:`blocker_for` (``cfg.blocker``'s Blocker); pair-gen and serving read
+the :func:`block_schema` rows through :func:`block_features`.
+
+The default Blocker, :class:`LshBlocker` (``lsh-minhash``), emits two key
+families (the engine's candidate-set construction, ≙ reference
 ``candidate_manager.py:31-56``):
 
 - exact keys from ``(lang, sha256[:p])`` — identical-content fast path;
@@ -26,41 +32,63 @@ per-row hashing, no per-row hex decode.
 from __future__ import annotations
 
 import hashlib
-from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data
 
 from spel_ray.config import LinkageConfig
 from spel_ray.stages.minhash import MinHasher, fixed_binary_view, sig_dtype
 
-BLOCK_SCHEMA_COLS = ["block_key", "row_id", "sig", "sig_tok", "n_chars", "sha16"]
+
+def block_schema(cfg: LinkageConfig) -> pa.Schema:
+    """The one block-row layout: what every Blocker emits and every reader
+    expects. ``sha16`` is the first 128 sha256 bits (collision-free in
+    practice); lang is inside the exact-key hash, so it is not a column."""
+    return pa.schema([
+        ("block_key", pa.int64()), ("row_id", pa.int64()),
+        ("sig", pa.binary(cfg.num_perm * cfg.sig_bytes)),
+        ("sig_tok", pa.binary(cfg.num_perm_tok * cfg.sig_bytes)),
+        ("n_chars", pa.int64()), ("sha16", pa.binary(16))])
+
+
+def block_features(t: pa.Table, cfg: LinkageConfig) -> dict:
+    """Block rows → columnar numpy features: the one reader of the format.
+    ``sig`` / ``sig_tok`` are (n, slots) and ``sha16`` (n, 2) uint64
+    read-only views of the Arrow buffers."""
+    dt = sig_dtype(cfg)
+    return {
+        "block_key": np.asarray(t["block_key"], dtype=np.int64),
+        "row_id": np.asarray(t["row_id"], dtype=np.int64),
+        "sig": fixed_binary_view(t["sig"], cfg.num_perm, dt),
+        "sig_tok": fixed_binary_view(t["sig_tok"], cfg.num_perm_tok, dt),
+        "n_chars": np.asarray(t["n_chars"], dtype=np.int64),
+        "sha16": fixed_binary_view(t["sha16"], 2, np.uint64),
+    }
+
 
 _EXACT_FAMILY = np.uint64(0xE0E0E0E0E0E0E0E0)
 _MIX = np.uint64(0xFF51AFD7ED558CCD)
 
 
-def _sha_nibbles(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """(n, 64) uint8 nibble values of a lowercase-hex sha256 column —
-    a vectorized gather over the Arrow string buffers (no per-row decode)."""
+def _sha16_bytes(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """(n, 16) uint8 — the first 16 raw bytes of a lowercase-hex sha256
+    column, decoded by a vectorized gather over the Arrow string buffers (no
+    per-row decode)."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     n = len(col)
     if n == 0:
-        return np.zeros((0, 64), dtype=np.uint8)
+        return np.zeros((0, 16), dtype=np.uint8)
     offs = np.frombuffer(col.buffers()[1], dtype=np.int32)[
         col.offset: col.offset + n + 1].astype(np.int64)
     data = np.frombuffer(col.buffers()[2], dtype=np.uint8)
-    codes = data[offs[:-1, None] + np.arange(64)]
+    codes = data[offs[:-1, None] + np.arange(32)]
     # lowercase hex: '0'-'9' -> code-48, 'a'-'f' -> code-87
-    return np.where(codes >= 97, codes - 87, codes - 48).astype(np.uint8)
-
-
-def _sha16_bytes(nibs: np.ndarray) -> np.ndarray:
-    """(n, 16) uint8 — first 16 raw bytes of the sha from its nibbles."""
-    return ((nibs[:, 0:32:2] << 4) | nibs[:, 1:32:2]).astype(np.uint8)
+    nibs = np.where(codes >= 97, codes - 87, codes - 48).astype(np.uint8)
+    return (nibs[:, 0::2] << 4) | nibs[:, 1::2]
 
 
 def _sha8_u64(sha16: np.ndarray) -> np.ndarray:
@@ -105,9 +133,8 @@ def carrier_keys(langs, shas) -> np.ndarray:
     on sha alone made identical content under different langs share no block
     at all under suppress_dup_bands (the non-carrier kept only its
     lang-specific exact key while its bands were suppressed)."""
-    nibs = _sha_nibbles(shas)
-    sha8 = _sha8_u64(_sha16_bytes(nibs))
-    return _carrier_keys_from(sha8, _lang_salts(langs))
+    return _carrier_keys_from(_sha8_u64(_sha16_bytes(shas)),
+                              _lang_salts(langs))
 
 
 class BlockKeyExploder:
@@ -123,13 +150,10 @@ class BlockKeyExploder:
         # per-band mixing constants so band b and band b' never collide
         rng = np.random.default_rng(cfg.seed + 1)
         self.band_salt = rng.integers(1, 2**63, size=cfg.bands, dtype=np.uint64) | np.uint64(1)
-        # optional globally-elected band carriers, shipped once via ray.put
-        # as sorted (carrier_key, carrier_row_id) int64 arrays (zero-copy
-        # from the object store) for duplicated contents
-        self.carriers = None
-        if carriers_ref is not None:
-            import ray as _ray
-            self.carriers = _ray.get(carriers_ref)
+        # optional globally-elected band carriers (elect_band_carriers): the
+        # ref rides the closure and each call reads the sorted
+        # (carrier_key, carrier_row_id) arrays zero-copy in its worker
+        self.carriers_ref = carriers_ref
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
@@ -146,8 +170,7 @@ class BlockKeyExploder:
         band_h ^= band_h >> np.uint64(32)
 
         # sha bytes + exact keys straight from the Arrow buffers
-        nibs = _sha_nibbles(batch["content_sha256"])
-        sha16_np = _sha16_bytes(nibs)
+        sha16_np = _sha16_bytes(batch["content_sha256"])
         sha8 = _sha8_u64(sha16_np)
         lang_salt = _lang_salts(batch["lang"])
 
@@ -166,10 +189,10 @@ class BlockKeyExploder:
         # rows of duplicated content emit their LSH bands only if they ARE
         # the globally-elected carrier — a pure per-row decision, identical
         # under any batching.
-        if self.carriers is not None:
+        if self.carriers_ref is not None:
             row_ids = np.asarray(batch["row_id"], dtype=np.int64)
             ckeys = _carrier_keys_from(sha8, lang_salt)
-            ck, cv = self.carriers
+            ck, cv = ray.get(self.carriers_ref)
             # vectorized membership probe over the sorted broadcast arrays:
             # a row not in the map is its own carrier (nothing duplicated)
             pos = np.clip(np.searchsorted(ck, ckeys), 0, len(ck) - 1)
@@ -190,20 +213,50 @@ class BlockKeyExploder:
             keys = np.concatenate([exact[:, None], band_h], axis=1).reshape(-1)
             idx = np.repeat(np.arange(n, dtype=np.int64), cfg.bands + 1)
 
-        # slim shuffle payload: 128-bit sha (collision-free in practice)
-        # instead of the 64-char hex string; lang is already inside the
-        # exact-key hash, so it is not shipped at all.
         sha16 = pa.FixedSizeBinaryArray.from_buffers(
             pa.binary(16), n, [None, pa.py_buffer(sha16_np.tobytes())])
-        slim = pa.table({
-            "row_id": batch["row_id"],
-            "sig": batch["sig"],
-            "sig_tok": batch["sig_tok"],
-            "n_chars": batch["n_chars"],
-            "sha16": sha16,
-        }).take(pa.array(idx))
-        return slim.add_column(
-            0, "block_key", pa.array(keys.view(np.int64), pa.int64()))
+        schema = block_schema(cfg)
+        feats = pa.Table.from_arrays(
+            [batch["row_id"], batch["sig"], batch["sig_tok"],
+             batch["n_chars"], sha16],
+            schema=pa.schema(list(schema)[1:])).take(pa.array(idx))
+        return feats.add_column(0, schema.field("block_key"),
+                                pa.array(keys.view(np.int64), pa.int64()))
+
+
+class LshBlocker:
+    """The default Blocker (``lsh-minhash``): MinHash sketch, then the exact
+    and LSH band key explode, as one map_batches callable. ``carriers_ref``
+    enables duplicate band suppression (see :func:`elect_band_carriers`)."""
+
+    def __init__(self, cfg: LinkageConfig, carriers_ref=None):
+        self.explode = BlockKeyExploder(cfg, carriers_ref)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return self.explode(self.explode.hasher(batch))
+
+
+def blocker_for(cfg: LinkageConfig, carriers_ref=None):
+    """``cfg.blocker``'s registered Blocker, built on the driver — worker
+    processes don't see user registrations, so the instance rides the task
+    closure. ``carriers_ref`` is passed on only when set: carrier
+    suppression is a property of the default blocker, and the config
+    refuses ``suppress_dup_bands`` with any other."""
+    from spel_ray.extension import get_blocker_factory
+
+    factory = get_blocker_factory(cfg.blocker)
+    return factory(cfg) if carriers_ref is None else factory(cfg, carriers_ref)
+
+
+def block_keys(ds: ray.data.Dataset, cfg: LinkageConfig,
+               carriers_ref=None) -> ray.data.Dataset:
+    """Fingerprinted records → block rows: one map_batches of
+    :func:`blocker_for`. ``carriers_ref``: optional handle from
+    :func:`elect_band_carriers` — deterministic duplicate band
+    suppression."""
+    return ds.map_batches(
+        blocker_for(cfg, carriers_ref), batch_format="pyarrow",
+        batch_size=cfg.batch_size, zero_copy_batch=True)
 
 
 def elect_band_carriers(records: ray.data.Dataset, cfg: LinkageConfig,
@@ -215,8 +268,6 @@ def elect_band_carriers(records: ray.data.Dataset, cfg: LinkageConfig,
     ``ray.put`` handle to {carrier_key: carrier_row_id} (None when the map
     would exceed cfg.max_carrier_broadcast — suppression is then skipped
     rather than risking driver memory)."""
-    import ray as _ray
-
     from spel_ray.state.shuffle import bucketed_aggregate
 
     def slim(batch: pa.Table) -> pa.Table:
@@ -246,65 +297,4 @@ def elect_band_carriers(records: ray.data.Dataset, cfg: LinkageConfig,
     keys = df["carrier_key"].to_numpy(np.int64)
     vals = df["carrier"].to_numpy(np.int64)
     order = np.argsort(keys, kind="stable")
-    return _ray.put((keys[order], vals[order]))
-
-
-# Per-worker-process caches: stateless *tasks* stay elastic (no actor pool to
-# size), while the permutation tables are still built once per process, not
-# once per batch (≙ reference tokenizer/vocab singletons T6/T7,
-# ``data_loader.py:56-96,123``).
-_STATE_CACHE: dict[tuple, object] = {}
-
-
-def _cached(kind: str, cfg: LinkageConfig, carriers_ref=None):
-    # The carrier REF identity is part of the key (ADVICE r1): Ray reuses
-    # worker processes across executions, so keying on "a ref exists" alone
-    # would silently reuse the previous run's carrier map for a second run
-    # with the same config but different data.
-    ref_id = carriers_ref.hex() if carriers_ref is not None else None
-    key = (kind, cfg.fingerprint(), ref_id)
-    obj = _STATE_CACHE.get(key)
-    if obj is None:
-        if kind == "minhash":
-            obj = MinHasher(cfg)
-        else:
-            obj = BlockKeyExploder(cfg, carriers_ref=carriers_ref)
-        _STATE_CACHE[key] = obj
-    return obj
-
-
-def block_keys(ds: ray.data.Dataset, cfg: LinkageConfig,
-               carriers_ref=None) -> ray.data.Dataset:
-    """fingerprinted ds → sketch (MinHash signature) → exploded block rows.
-
-    ``carriers_ref``: optional handle from :func:`elect_band_carriers` —
-    enables deterministic duplicate band suppression.
-
-    With a non-default ``cfg.blocker`` the registered Blocker runs as one
-    map_batches stage in place of the sketch+explode chain (carrier
-    suppression is a property of the default LSH blocker only). The
-    instance is built DRIVER-side — worker processes don't see user
-    registrations — and rides the task closure."""
-    if cfg.blocker != "lsh-minhash":
-        from spel_ray.extension import get_blocker_factory
-        blocker = get_blocker_factory(cfg.blocker)(cfg)
-        return ds.map_batches(
-            blocker, batch_format="pyarrow", batch_size=cfg.batch_size,
-            zero_copy_batch=True)
-    sketched = ds.map_batches(
-        partial(sketch, cfg=cfg),
-        batch_format="pyarrow", batch_size=cfg.batch_size, zero_copy_batch=True)
-    return sketched.map_batches(
-        partial(explode, cfg=cfg, carriers_ref=carriers_ref),
-        batch_format="pyarrow", batch_size=cfg.batch_size, zero_copy_batch=True)
-
-
-def sketch(batch: pa.Table, *, cfg: LinkageConfig) -> pa.Table:
-    """Records → records + MinHash signatures (the process-cached hasher)."""
-    return _cached("minhash", cfg)(batch)
-
-
-def explode(batch: pa.Table, *, cfg: LinkageConfig,
-            carriers_ref=None) -> pa.Table:
-    """Sketched records → one row per (record, block key)."""
-    return _cached("explode", cfg, carriers_ref)(batch)
+    return ray.put((keys[order], vals[order]))

@@ -102,11 +102,14 @@ def chunk_level_pairs(records: ray.data.Dataset, cfg: LinkageConfig | None = Non
     chunks = chunk_records(records, window=window, overlap=overlap)
     _, blocks = link_head(chunks, cfg, text=("chunk_text", "chunk_id", "chunk"))
     chunk_pairs = scored_candidate_pairs(blocks, cfg, num_buckets=num_buckets)
+
+    def strong_chunk_pairs(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t["score"], min_chunk_score)) \
+                .select(["id_lo", "id_hi", "score"])
+
     # each join input is pinned: the join reads its schema, then its rows
     rec_pairs = chunk_pairs.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["score"], min_chunk_score))
-                   .select(["id_lo", "id_hi", "score"]),
-        batch_format="pyarrow").materialize()
+        strong_chunk_pairs, batch_format="pyarrow").materialize()
 
     # chunk_id -> row_id resolution: two bucketed inner joins (one hop per
     # pair side) against the (small relative to pairs) chunk map. The map

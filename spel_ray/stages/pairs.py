@@ -44,7 +44,7 @@ import ray.data
 
 from spel_ray.config import LinkageConfig
 from spel_ray.extension import get_scorer
-from spel_ray.stages.minhash import fixed_binary_view, sig_dtype
+from spel_ray.stages.blocking import block_features
 from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_groupby,
                                     bucketed_topk)
 
@@ -129,12 +129,13 @@ def merge_pairs(pairs: ray.data.Dataset, aggs, *,
 def gen_and_score_bucket(t: pa.Table, cfg: LinkageConfig, scorer) -> pa.Table:
     """One bucket of block rows → scored candidate pairs (``PAIR_SCHEMA``).
 
-    Arrow-native on purpose: signature columns are read as numpy buffer
-    views; a pandas conversion would materialize one Python bytes object per
-    row and dominate the task (measured ~6× the useful compute)."""
-    keys = np.asarray(t["block_key"], dtype=np.int64)
-    ids = np.asarray(t["row_id"], dtype=np.int64)
-    lo, hi, capped = bucket_pairs(keys, ids, cfg.max_block_pairs_n)
+    Arrow-native on purpose: the rows are read through
+    ``blocking.block_features`` as numpy buffer views; a pandas conversion
+    would materialize one Python bytes object per row and dominate the task
+    (measured ~6× the useful compute)."""
+    f = block_features(t, cfg)
+    ids = f["row_id"]
+    lo, hi, capped = bucket_pairs(f["block_key"], ids, cfg.max_block_pairs_n)
     # incremental mode: when an ``is_new`` column is present, old-old pairs
     # are skipped — their verdicts are already encoded in the previous run's
     # cluster membership edges (see pipelines/incremental.py)
@@ -145,19 +146,16 @@ def gen_and_score_bucket(t: pa.Table, cfg: LinkageConfig, scorer) -> pa.Table:
     if len(lo) == 0:
         return PAIR_SCHEMA.empty_table()
 
-    dt = sig_dtype(cfg)
-    sigs = fixed_binary_view(t["sig"], cfg.num_perm, dt)
-    toks = fixed_binary_view(t["sig_tok"], cfg.num_perm_tok, dt)
-    sha2 = fixed_binary_view(t["sha16"], 2, np.uint64)  # two words per sha
-    n_chars = np.asarray(t["n_chars"], dtype=np.int64)
     # the pluggable pair scorer (§2.10) is resolved DRIVER-side in
     # scored_candidate_pairs (worker processes don't see user
     # registrations) and shipped in the task closure
     jac, exact, score = scorer.score_pairs(
-        cfg, sig_lo=sigs[lo], sig_hi=sigs[hi], tok_lo=toks[lo],
-        tok_hi=toks[hi], n_lo=n_chars[lo], n_hi=n_chars[hi],
-        sha_eq=(sha2[lo] == sha2[hi]).all(axis=1))
-    return pa.table([ids[lo], ids[hi], keys[lo], jac, exact, score, capped],
+        cfg, sig_lo=f["sig"][lo], sig_hi=f["sig"][hi],
+        tok_lo=f["sig_tok"][lo], tok_hi=f["sig_tok"][hi],
+        n_lo=f["n_chars"][lo], n_hi=f["n_chars"][hi],
+        sha_eq=(f["sha16"][lo] == f["sha16"][hi]).all(axis=1))
+    return pa.table([ids[lo], ids[hi], f["block_key"][lo], jac, exact, score,
+                     capped],
                     schema=PAIR_SCHEMA)
 
 

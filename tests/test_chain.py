@@ -250,6 +250,8 @@ def test_flagship_operators_are_named(tiny_code_table):
         ["ancestor_id"])), LinkageConfig(), num_buckets=4)
     stats = res.pairs.stats()
     assert "MapBatches(fingerprint_batch)" in stats
+    # the blocking operator is named after the blocker class
+    assert "MapBatches(LshBlocker)" in stats
     assert "<lambda>" not in stats
     # each exchange is named after its bucket function
     assert "MapBatches(run)" not in stats

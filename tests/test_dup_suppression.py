@@ -3,6 +3,7 @@ rows, and batch-size independence (the property the batch-local variant
 broke)."""
 
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from spel_ray.config import LinkageConfig
@@ -112,3 +113,69 @@ def test_election_runs_its_input_once(tmp_path):
     assert elect_band_carriers(rec, LinkageConfig(suppress_dup_bands=True),
                                num_buckets=4) is not None
     assert len(log.read_text().splitlines()) == 4
+
+
+PLAIN_SHA = \
+    "cab80f584ac49689312253fb35ad356834812f8289ad6cc76909c2eb006cfdc1"
+SUPPRESSED_SHA = \
+    "6c5cec74ce0927cac4f4cdab8667839e7ff5d29158f36b16f5aaba8f77da8971"
+
+
+def _block_rows_sha(blocks) -> str:
+    """sha256 over every column of the block rows, sorted by
+    (block_key, row_id)."""
+    import hashlib
+
+    import numpy as np
+
+    t = pa.concat_tables(list(blocks.iter_batches(batch_format="pyarrow"))) \
+        .sort_by([("block_key", "ascending"), ("row_id", "ascending")])
+    h = hashlib.sha256()
+    for name in t.column_names:
+        col = t[name].combine_chunks()
+        h.update(f"{name}:{col.type}:".encode())
+        h.update(b"".join(col.to_pylist())
+                 if pa.types.is_fixed_size_binary(col.type)
+                 else np.asarray(col).tobytes())
+    return h.hexdigest()
+
+
+def test_block_rows_are_pinned():
+    """The block rows of a fixed corpus, with and without suppression, are
+    byte-for-byte what they were when this test was written."""
+    rec = fingerprint(rd.from_arrow(
+        generate_code_table(2000, seed=42).drop_columns(["ancestor_id"])))
+    plain = LinkageConfig()
+    on = LinkageConfig(suppress_dup_bands=True)
+    carriers = elect_band_carriers(rec, on, num_buckets=4)
+    assert carriers is not None
+    assert _block_rows_sha(block_keys(rec, plain)) == PLAIN_SHA
+    assert _block_rows_sha(block_keys(rec, on, carriers_ref=carriers)) \
+        == SUPPRESSED_SHA
+
+
+def test_consecutive_runs_use_their_own_carriers():
+    """Two suppressed runs with the same config over different corpora in
+    one Ray session: each suppresses by its own carrier map (worker processes
+    are reused across runs, so state keyed on the config alone would hand
+    the second run the first run's map)."""
+    cfg = LinkageConfig(suppress_dup_bands=True)
+    for content in ("import os\nmain()", "print('another duplicate')"):
+        t = _dup_heavy().set_column(
+            4, "content", pa.array([content] * 60 + _dup_heavy()["content"]
+                                   .to_pylist()[60:]))
+        rec = fingerprint(rd.from_arrow(t))
+        carriers = elect_band_carriers(rec, cfg, num_buckets=4)
+        # 60 copies: one carries its bands, 59 keep only their exact key
+        want = 120 * (cfg.bands + 1) - 59 * cfg.bands
+        assert block_keys(rec, cfg, carriers_ref=carriers).count() == want
+
+
+def test_suppression_with_another_blocker_is_refused():
+    """Carrier election feeds the default blocker only: with any other it
+    would be a full pass, a shuffle and a broadcast whose result is
+    ignored."""
+    with pytest.raises(ValueError, match="lsh-minhash"):
+        LinkageConfig(suppress_dup_bands=True, blocker="test-exact-key")
+    LinkageConfig(suppress_dup_bands=True)          # the default is fine
+    LinkageConfig(blocker="test-exact-key")         # so is no suppression

@@ -98,7 +98,7 @@ def test_custom_blocker_through_pipeline():
 
 def test_default_blocker_registry_matches_pipeline_stage():
     """The registered default blocker must produce the same block rows as
-    the unfused in-pipeline chain."""
+    the sketch followed by the exploder."""
     from spel_ray.stages.blocking import BlockKeyExploder
     from spel_ray.stages.fingerprint import fingerprint_batch
     from spel_ray.stages.minhash import MinHasher

@@ -9,8 +9,8 @@
   ``.group_by(...).aggregate(...)`` and ``stable_str_hash`` appear only in
   ``spel_ray/state/shuffle.py`` (``bucketed_aggregate`` /
   ``add_bucket_column``); other modules aggregate and route through them.
-  Every function handed to an exchange is a named ``def``, never a
-  ``lambda``, so a plan's stats name each exchange.
+  Every function handed to an exchange or to ``map_batches`` is a named
+  ``def``, never a ``lambda``, so a plan's stats name each operator.
 - One partial top-k: ``select_k_unstable``, a pandas
   ``.groupby(...).head(`` or ``.sort_values(...).head(`` and a Ray
   ``.sort(...).limit(`` chain appear only in ``spel_ray/state/shuffle.py``;
@@ -25,6 +25,9 @@
   views ``.signature(`` / ``.token_signature(`` / ``.shingle_hashes(``;
   every other module sketches a batch through ``MinHasher.__call__``. Inside
   it, ``hashlib.md5`` runs only in the batch token-vocabulary step.
+- One blocker: only ``spel_ray/stages/blocking.py`` constructs a
+  ``BlockKeyExploder``; batch linkage, serving queries and upserts get
+  their block rows from ``blocker_for(cfg)``.
 - Named UDFs: no function in ``spel_ray`` is called ``partial`` (it would
   shadow ``functools.partial``, and a plan's stats would read
   ``MapBatches(partial)``); each is named after what it computes.
@@ -164,6 +167,8 @@ def _pair_kernels(tree: ast.AST):
 
 
 EXCHANGE_CALLS = ("bucketed_groupby", "bucketed_aggregate", "cogroup")
+# calls whose function argument names an operator in a plan's stats
+NAMED_UDF_CALLS = (*EXCHANGE_CALLS, "map_batches")
 
 
 def _aggregates(tree: ast.AST):
@@ -186,14 +191,15 @@ def _aggregates(tree: ast.AST):
 
 
 def _exchange_lambdas(tree: ast.AST):
-    """(function, line, callee) for every exchange call given a lambda."""
+    """(function, line, callee) for every exchange or map_batches call given
+    a lambda."""
     found = []
     for func, node in _nodes(tree):
         if not isinstance(node, ast.Call):
             continue
         callee = getattr(node.func, "id", getattr(node.func, "attr", None))
         args = list(node.args) + [kw.value for kw in node.keywords]
-        if callee in EXCHANGE_CALLS \
+        if callee in NAMED_UDF_CALLS \
                 and any(isinstance(a, ast.Lambda) for a in args):
             found.append((func, node.lineno, callee))
     return found
@@ -292,7 +298,22 @@ def test_exchange_functions_are_named():
     for mod, tree in _modules():
         bad += [f"spel_ray/{mod}:{line} ({func}): lambda passed to {callee}"
                 for func, line, callee in _exchange_lambdas(tree)]
-    assert not bad, ("pass a named def to the exchange:\n" + "\n".join(bad))
+    assert not bad, ("pass a named def to the exchange or map_batches:\n"
+                     + "\n".join(bad))
+
+
+BLOCKING = "stages/blocking.py"
+
+
+def test_only_blocking_module_builds_exploders():
+    bad = [f"spel_ray/{mod}:{node.lineno} ({func})"
+           for mod, tree in _modules() if mod != BLOCKING
+           for func, node in _nodes(tree)
+           if isinstance(node, ast.Call)
+           and getattr(node.func, "id", getattr(node.func, "attr", None))
+           == "BlockKeyExploder"]
+    assert not bad, ("block rows come from blocking.blocker_for(cfg), not a "
+                     "hand-built BlockKeyExploder:\n" + "\n".join(bad))
 
 
 def test_one_sketch_path():

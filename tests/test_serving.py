@@ -423,12 +423,12 @@ def test_index_probe_misses_return_nothing():
     score threshold 0, where any colocated row would be a hit."""
     import numpy as np
 
-    from spel_ray.serving import _empty_block_rows, _features
+    from spel_ray.stages.blocking import block_features, block_schema
 
     cfg = LinkageConfig()
     t = _synth400().slice(0, 100)
     idx = _index_of(cfg, t)
-    feats = _features(_index_of(cfg, t.slice(0, 1))._to_rows(), cfg)
+    feats = block_features(_index_of(cfg, t.slice(0, 1))._to_rows(), cfg)
     assert idx._hits_from_features(feats, 0.0, 5)    # the real keys hit
     # the one-step range gather equals a per-key scan, dead rows skipped
     idx._drop_row_ids(np.unique(idx._row_id)[::3])
@@ -442,6 +442,57 @@ def test_index_probe_misses_return_nothing():
                   [np.iinfo(np.int64).max], []):
         miss = {**feats, "block_key": np.asarray(probe, np.int64)}
         assert idx._hits_from_features(miss, 0.0, 5) == [], probe
-    empty = LinkageIndex(cfg, _empty_block_rows(cfg))
+    empty = LinkageIndex(cfg, block_schema(cfg).empty_table())
     assert empty._hits_from_features(feats, 0.0, 5) == []
     assert empty.link_many(t["content"].to_pylist()[:3]) == [[], [], []]
+
+
+def _register_rekeyed_blocker():
+    """A blocker that files every default block row under another key
+    (``block_key ^ 0x5A5A``): registered from function scope, so it is
+    cloudpickled by value like a user plugin workers cannot import."""
+    import numpy as np
+
+    from spel_ray.extension import get_blocker_factory, register_blocker
+
+    @register_blocker("test-rekeyed")
+    def rekeyed_blocker(cfg):
+        default = get_blocker_factory("lsh-minhash")(cfg)
+
+        def rekey(batch: pa.Table) -> pa.Table:
+            rows = default(batch)
+            keys = np.asarray(rows["block_key"], np.int64) ^ 0x5A5A
+            return rows.set_column(0, "block_key", pa.array(keys, pa.int64()))
+        return rekey
+
+
+def test_serving_honours_the_configured_blocker(tmp_path):
+    """Queries and upserts are keyed by the same blocker as the corpus: with
+    a re-keying blocker an indexed record still finds itself at score 1.0
+    on the single index, after add(), and on a 2-shard index."""
+    from spel_ray.serving import ShardedLinkageIndex
+    from tests.conftest import row_id_of
+
+    _register_rekeyed_blocker()
+    cfg = LinkageConfig(blocker="test-rekeyed")
+    sql = "SELECT id, name FROM users WHERE active = 1 ORDER BY id"
+    want = [{"row_id": row_id_of("r3", "c.sql", "c3"), "score": 1.0,
+             "exact": True}]
+    idx = LinkageIndex.build(_corpus(), cfg)
+    assert idx.link(sql, lang="sql") == want
+
+    new = "def brand_new_record(x):\n    return {'fresh': x * 7}\n"
+    idx.add(pa.table({"repo": ["r9"], "path": ["n.py"], "commit": ["c9"],
+                      "lang": ["python"], "content": [new]}))
+    assert idx.link(new, lang="python") == [
+        {"row_id": row_id_of("r9", "n.py", "c9"), "score": 1.0,
+         "exact": True}]
+
+    sharded = ShardedLinkageIndex.build(_corpus(), cfg, n_shards=2,
+                                        num_cpus=0.5,
+                                        index_dir=str(tmp_path / "idx"))
+    try:
+        assert sharded.link(sql, lang="sql") == want
+    finally:
+        for a in sharded._actors:
+            ray.kill(a)

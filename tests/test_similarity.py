@@ -8,7 +8,7 @@ import ray.data as rd
 from spel_ray.functions import similarity
 from spel_ray.functions.similarity import (
     ann_topk_bruteforce, ann_topk_ivf, ann_topk_lsh, embeddings,
-    train_ivf_centroids)
+    hyperplane_keys, train_ivf_centroids)
 
 
 def _corpus(n=200, dim=16, seed=5):
@@ -158,3 +158,18 @@ def test_ann_empty_corpus_and_candidate_free_batches():
     out = ann_topk_lsh(ds, -m[:2], np.arange(2), n_planes=16, n_tables=1)
     assert list(out.columns) == cols
     assert out["rank"].between(1, 10).all()
+
+
+def test_hyperplane_keys_match_both_former_kernels():
+    """The one hyperplane key kernel equals the former LSB-first einsum keys
+    exactly and buckets rows exactly as the former MSB-first loop did."""
+    rng = np.random.default_rng(0)
+    emb = rng.standard_normal((300, 5))
+    planes = rng.standard_normal((7, 4, 5))
+    keys = hyperplane_keys(emb, planes)
+    signs = np.einsum("nd,tpd->ntp", emb, planes) > 0
+    lsb = (signs * (1 << np.arange(4))).sum(axis=2)
+    assert np.array_equal(keys, (lsb << 6) | np.arange(7))
+    msb = (signs * (1 << np.arange(4)[::-1])).sum(axis=2)
+    assert np.array_equal(keys[:, None, :] == keys[None, :, :],
+                          msb[:, None, :] == msb[None, :, :])
