@@ -13,11 +13,12 @@ The engine analog of the reference's plugin API: a subclassable annotator
 A custom implementation registers under a name and is selected purely via
 ``LinkageConfig(scorer=..., blocker=...)`` — no stage edits. Because the
 config string participates in ``cfg.fingerprint()``, checkpoints key
-correctly on the plugin choice. Registry lookups happen DRIVER-side when
-the pipeline is built; the resolved instance is cloudpickled into the task
-closures, so worker processes never need the registration import. The
-blocker is resolved in one place, ``stages/blocking.blocker_for``, which
-batch linkage, serving queries and serving upserts all run.
+correctly on the plugin choice. A registration is seen only by the
+process that ran it, so lookups happen DRIVER-side and the instances ride
+task closures and serving-actor arguments. The blocker is resolved in one
+place, ``stages/blocking.blocker_for``, which batch linkage, serving
+queries and serving upserts all run; every scorer call is
+``stages/scoring.score_gather``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import pyarrow as pa
 
 from spel_ray.config import LinkageConfig
 from spel_ray.stages.blocking import LshBlocker
+from spel_ray.stages.scoring import score_pair_arrays
 
 
 @runtime_checkable
@@ -65,19 +67,17 @@ class Blocker(Protocol):
 
 _SCORER_FACTORIES: dict[str, Callable[[], PairScorer]] = {}
 _BLOCKER_FACTORIES: dict[str, Callable[[LinkageConfig], Blocker]] = {}
-_SCORER_CACHE: dict[str, PairScorer] = {}
 
 
 def register_scorer(name: str):
     """Decorator: register a PairScorer factory (class or zero-arg callable).
 
-    Re-registering a name drops any cached instance so the new factory takes
-    effect immediately. Note ``cfg.fingerprint()`` only captures the *name* —
-    register behavior changes under versioned names (e.g. ``myscorer-v2``)
-    or stale checkpoints will be reused."""
+    Re-registering a name takes effect at the next lookup. Note
+    ``cfg.fingerprint()`` only captures the *name* — register behavior
+    changes under versioned names (e.g. ``myscorer-v2``) or stale
+    checkpoints will be reused."""
     def deco(factory):
         _SCORER_FACTORIES[name] = factory
-        _SCORER_CACHE.pop(name, None)
         return factory
     return deco
 
@@ -91,17 +91,14 @@ def register_blocker(name: str):
 
 
 def get_scorer(name: str) -> PairScorer:
-    s = _SCORER_CACHE.get(name)
-    if s is None:
-        try:
-            factory = _SCORER_FACTORIES[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown scorer {name!r}; registered: "
-                f"{sorted(_SCORER_FACTORIES)}") from None
-        s = factory()       # outside the try: a factory's own KeyError
-        _SCORER_CACHE[name] = s     # must surface, not read as 'unknown'
-    return s
+    """A new instance of the scorer registered under ``name``."""
+    try:
+        factory = _SCORER_FACTORIES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown scorer {name!r}; registered: "
+            f"{sorted(_SCORER_FACTORIES)}") from None
+    return factory()    # a factory's own KeyError must not read as 'unknown'
 
 
 def get_blocker_factory(name: str) -> Callable[[LinkageConfig], Blocker]:
@@ -119,11 +116,8 @@ class SketchBlendScorer:
     """Default: char/token MinHash blend softly gated by length ratio
     (see stages/scoring.score_pair_arrays)."""
 
-    def score_pairs(self, cfg, *, sig_lo, sig_hi, tok_lo, tok_hi,
-                    n_lo, n_hi, sha_eq):
-        from spel_ray.stages.scoring import score_pair_arrays
-        return score_pair_arrays(cfg, sig_lo, sig_hi, tok_lo, tok_hi,
-                                 n_lo, n_hi, sha_eq)
+    def score_pairs(self, cfg, **pair):
+        return score_pair_arrays(cfg, **pair)
 
 
 # the default Blocker: MinHash sketch + exact / LSH band keys

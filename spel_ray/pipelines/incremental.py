@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from spel_ray.config import LinkageConfig
@@ -33,10 +34,10 @@ from spel_ray.pipelines.linkage import (LinkageResult, link_head, link_tail,
 
 
 def _tag(ds: ray.data.Dataset, flag: bool) -> ray.data.Dataset:
-    def f(batch: pa.Table) -> pa.Table:
+    def with_is_new(batch: pa.Table) -> pa.Table:
         return batch.append_column(
             "is_new", pa.array(np.full(batch.num_rows, flag)))
-    return ds.map_batches(f, batch_format="pyarrow")
+    return ds.map_batches(with_is_new, batch_format="pyarrow")
 
 
 def incremental_link(new_ds: ray.data.Dataset,
@@ -64,16 +65,11 @@ def incremental_link(new_ds: ray.data.Dataset,
             new_blocks.select_columns(cols))
 
     def membership(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         t = batch.filter(pc.not_equal(batch["row_id"], batch["cluster_id"]))
         return pa.table({"lo": t["cluster_id"], "hi": t["row_id"]})
 
-    def ids_only(batch: pa.Table) -> pa.Table:
-        return pa.table({"row_id": batch["row_id"]})
-
-    all_ids = prev_clusters.map_batches(ids_only, batch_format="pyarrow") \
-        .union(new_records.select_columns(["row_id"]).map_batches(
-            ids_only, batch_format="pyarrow"))
+    all_ids = prev_clusters.select_columns(["row_id"]).union(
+        new_records.select_columns(["row_id"]))
     return link_tail(
         new_records, all_blocks, all_ids, cfg, num_buckets=num_buckets,
         stage=pin_at("pairs", "edges", "clusters"),

@@ -41,7 +41,8 @@ from spel_ray.stages.clustering import assign_clusters, connected_components
 from spel_ray.stages.fingerprint import (fingerprint, row_ids,
                                          text_record_batch)
 from spel_ray.stages.pairs import scored_candidate_pairs
-from spel_ray.stages.scoring import edges_from_pairs, verify_borderline
+from spel_ray.stages.scoring import (edges_from_pairs, matches,
+                                    verify_borderline)
 from spel_ray.state.shuffle import bucketed_groupby, merge_bucket, topk_rows
 
 
@@ -234,8 +235,8 @@ def linkage_stats(res: LinkageResult, cfg: LinkageConfig | None = None) -> dict:
             "n": [batch.num_rows],
             "n_capped": [pc.sum(pc.cast(batch["capped"], pa.int64())).as_py() or 0],
             "n_exact": [pc.sum(pc.cast(batch["exact"], pa.int64())).as_py() or 0],
-            "n_edges_thr": [pc.sum(pc.cast(
-                pc.greater_equal(batch["score"], thr), pa.int64())).as_py() or 0],
+            "n_edges_thr": [int(matches(batch["exact"], batch["score"],
+                                        thr).sum())],
         })
 
     parts = res.pairs.map_batches(pair_counts, batch_format="pyarrow").take_all()

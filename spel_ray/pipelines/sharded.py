@@ -42,7 +42,8 @@ from spel_ray.stages.fingerprint import row_ids
 from spel_ray.state.checkpoint import CheckpointedRun
 
 
-def _input_files(path: str) -> list[str]:
+def parquet_files(path: str) -> list[str]:
+    """The one listing a sharded run shards, records and reads."""
     p = Path(path)
     if p.is_dir():
         files = sorted(str(f) for f in p.glob("**/*.parquet"))
@@ -52,16 +53,15 @@ def _input_files(path: str) -> list[str]:
     return [str(p)]
 
 
-def sharded_block_rows(path: str, cfg: LinkageConfig, ckpt_root: str, *,
-                       num_shards: int | None = None,
+def sharded_block_rows(files: list[str], cfg: LinkageConfig,
+                       ckpt_root: str, *, num_shards: int | None = None,
                        carriers_factory=None) -> ray.data.Dataset:
-    """Phase A with per-shard resume: returns the union of all shards'
-    block rows (read back from the committed parquet).
+    """Phase A with per-shard resume over ``files``: returns the union of
+    all shards' block rows (read back from the committed parquet).
 
     ``carriers_factory``: zero-arg callable producing the band-carrier
     broadcast ref — invoked LAZILY on the first incomplete shard, so a
     resume of a fully-complete run never pays the election's corpus pass."""
-    files = _input_files(path)
     if num_shards is None:
         num_shards = min(16, len(files))
     ckpt = CheckpointedRun(ckpt_root, cfg)
@@ -95,20 +95,20 @@ def run_linkage_sharded(path: str, cfg: LinkageConfig | None = None, *,
         raise ValueError("run_linkage_sharded does not support the content "
                          "verifier (slim shard outputs carry no content); "
                          "use run_linkage")
+    files = parquet_files(path)
 
     def carriers_factory():
         # global election is a slim deterministic pre-pass: re-running it on
         # resume yields the same carrier map, so shard outputs from
         # different runs agree; invoked lazily — only when a shard actually
         # needs computing (a fully-complete resume skips the corpus pass)
-        recs, _ = link_head(ray.data.read_parquet(_input_files(path)), cfg)
+        recs, _ = link_head(ray.data.read_parquet(files), cfg)
         return elect_band_carriers(recs, cfg,
                                    num_buckets=max(8, num_buckets // 2))
 
     blocks = sharded_block_rows(
-        path, cfg, checkpoint_dir, num_shards=num_shards,
+        files, cfg, checkpoint_dir, num_shards=num_shards,
         carriers_factory=carriers_factory if cfg.suppress_dup_bands else None)
-    files = _input_files(path)
     ids = row_ids(ray.data.read_parquet(files))
     return link_tail(ids, blocks, ids, cfg, num_buckets=num_buckets,
                      stage=partial(CheckpointedRun(checkpoint_dir, cfg)

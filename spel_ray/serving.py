@@ -13,8 +13,8 @@ model state, then per-request annotate. The engine analog:
 - :meth:`LinkageIndex.link` — turns the query into block rows with the SAME
   blocker as the corpus (``blocking.blocker_for(cfg)``: the configured
   Blocker, custom or default; upserts run it too), probes its block keys,
-  scores the colocated candidates with the configured PairScorer, returns
-  ranked matches.
+  gives the colocated candidates batch linkage's pair verdict
+  (``scoring.score_gather`` / ``matches``), returns ranked matches.
 - :func:`serving_actor` — one index as a Ray actor, built from block rows
   or from one shard's parquet partition: a serving replica (N replicas = N
   actors; the reference serializes requests under a lock,
@@ -31,8 +31,6 @@ contains the global top-k).
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 import pyarrow as pa
 import ray
@@ -42,6 +40,7 @@ from spel_ray.config import LinkageConfig
 from spel_ray.extension import get_scorer
 from spel_ray.stages.blocking import block_features, block_schema, blocker_for
 from spel_ray.stages.fingerprint import fingerprint_batch
+from spel_ray.stages.scoring import matches, score_gather
 
 
 def _batch_query_features(cfg: LinkageConfig, blocker, contents: list,
@@ -86,28 +85,26 @@ def _rank_merged(best: dict, k: int) -> list[dict]:
 
 
 class LinkageIndex:
-    """In-memory blocking index over a corpus for single-record linking."""
+    """In-memory blocking index over a corpus for single-record linking.
+    ``scorer`` / ``blocker``: ``get_scorer(cfg.scorer)`` and
+    ``blocker_for(cfg)``, built on the driver (actors see no registry)."""
 
-    def __init__(self, cfg: LinkageConfig, block_rows: pa.Table):
+    def __init__(self, cfg: LinkageConfig, block_rows: pa.Table, *,
+                 scorer, blocker):
         self.cfg = cfg
-        self._scorer = get_scorer(cfg.scorer)
+        self._scorer = scorer
+        self._blocker = blocker
         self._delta: "LinkageIndex | None" = None
         self._load(block_rows)
-
-    @cached_property
-    def _blocker(self):
-        """``blocker_for(cfg)``, built on first featurization: a shard actor
-        or a delta segment only probes and never builds one (and a worker
-        process would not see a user-registered blocker)."""
-        return blocker_for(self.cfg)
 
     def _load(self, block_rows: pa.Table) -> None:
         """(Re)build the sorted probe arrays from exploded block rows, every
         row alive."""
         f = block_features(block_rows, self.cfg)
         order = np.argsort(f["block_key"], kind="stable")
-        (self._keys, self._row_id, self._sig, self._sig_tok, self._n_chars,
-         self._sha16) = (v[order] for v in f.values())   # block_schema order
+        # the features sorted by block key, in block_schema order
+        self._f = {name: v[order] for name, v in f.items()}
+        self._keys, self._row_id = self._f["block_key"], self._f["row_id"]
         # deletion vector: add() evicts a superseded row by clearing its
         # bits; compaction drops the dead rows from the arrays
         self._alive = np.ones(len(self._keys), dtype=bool)
@@ -125,13 +122,11 @@ class LinkageIndex:
         alongside the arrays)."""
         live, n = self._alive, self._n_live()
         schema = block_schema(self.cfg)
-        arrays = (self._keys, self._row_id, self._sig, self._sig_tok,
-                  self._n_chars, self._sha16)
         return pa.Table.from_arrays([
             pa.FixedSizeBinaryArray.from_buffers(
                 fd.type, n, [None, pa.py_buffer(a[live].tobytes())])
             if a.ndim == 2 else pa.array(a[live], fd.type)
-            for fd, a in zip(schema, arrays)], schema=schema)
+            for fd, a in zip(schema, self._f.values())], schema=schema)
 
     # ---------------------------------------------------------------- build
     @classmethod
@@ -145,7 +140,8 @@ class LinkageIndex:
         _, rows = link_head(records, cfg)
         batches = list(rows.iter_batches(batch_format="pyarrow"))
         return cls(cfg, pa.concat_tables(batches) if batches
-                   else block_schema(cfg).empty_table())     # empty corpus
+                   else block_schema(cfg).empty_table(),     # empty corpus
+                   scorer=get_scorer(cfg.scorer), blocker=blocker_for(cfg))
 
     # ----------------------------------------------------------------- link
     def _live_positions(self, block_keys: np.ndarray) -> np.ndarray:
@@ -163,32 +159,24 @@ class LinkageIndex:
         return pos[self._alive[pos]]
 
     def _hits_from_features(self, f: dict, thr: float, k: int) -> list[dict]:
-        """Probe + score pre-sketched query features against this index.
-        Returns up to k hits with RAW (unrounded) scores — ranking must
+        """Probe pre-sketched query features against this index; a
+        candidate is a hit when it ``matches`` at ``thr``. Returns up to k hits with RAW (unrounded) scores — ranking must
         happen on raw scores so a sharded merge orders identically to the
         single index."""
-        cfg = self.cfg
         pos = self._live_positions(f["block_key"])
         if not len(pos):
             return []
         # one row may sit under several keys — dedupe by row_id (keep first)
         _, first = np.unique(self._row_id[pos], return_index=True)
         pos = pos[np.sort(first)]
+        rid = self._row_id[pos]
 
-        n = len(pos)
-        jac, exact, score = self._scorer.score_pairs(
-            cfg,
-            sig_lo=np.repeat(f["sig"][:1], n, axis=0),
-            sig_hi=self._sig[pos],
-            tok_lo=np.repeat(f["sig_tok"][:1], n, axis=0),
-            tok_hi=self._sig_tok[pos],
-            n_lo=np.repeat(f["n_chars"][:1], n),
-            n_hi=self._n_chars[pos],
-            sha_eq=(self._sha16[pos] == f["sha16"][0]).all(axis=1))
-        keep = np.flatnonzero(score >= thr)
-        order = keep[np.lexsort((self._row_id[pos][keep], -score[keep]))][:k]
-        return [{"row_id": int(self._row_id[pos][i]),
-                 "score": float(score[i]),
+        _, exact, score = score_gather(self._scorer, self.cfg, f,
+                                       np.zeros(len(pos), np.intp),
+                                       self._f, pos)
+        keep = np.flatnonzero(matches(exact, score, thr))
+        order = keep[np.lexsort((rid[keep], -score[keep]))][:k]
+        return [{"row_id": int(rid[i]), "score": float(score[i]),
                  "exact": bool(exact[i])}
                 for i in order]
 
@@ -215,8 +203,9 @@ class LinkageIndex:
     def link(self, content: str, lang: str = "txt", *, k: int = 5,
              min_score: float | None = None) -> list[dict]:
         """Link one record: returns up to ``k`` matches
-        ``{row_id, score, exact}`` with score ≥ min_score (defaults to the
-        config's edge threshold), ranked by (score desc, row_id)."""
+        ``{row_id, score, exact}`` — exact, or score ≥ min_score (defaults
+        to the config's edge threshold), batch linkage's match rule —
+        ranked by (score desc, row_id)."""
         return self.link_many([content], [lang], k=k, min_score=min_score)[0]
 
     def link_many(self, contents: list, langs: list | None = None, *,
@@ -270,7 +259,8 @@ class LinkageIndex:
             if self._delta is not None:
                 self._delta._drop_row_ids(new_ids)
         if self._delta is None:
-            self._delta = LinkageIndex(self.cfg, rows)
+            self._delta = LinkageIndex(self.cfg, rows, scorer=self._scorer,
+                                       blocker=self._blocker)
         else:
             self._delta._load(pa.concat_tables(
                 [self._delta._to_rows(), rows]))
@@ -301,13 +291,16 @@ def serving_actor(num_cpus: float = 1.0):
     reference's lazily-built server state) or one shard of a
     :class:`ShardedLinkageIndex`. It is built from exploded block rows, or
     from the path of one ``shard=<s>`` parquet partition, which the actor
-    reads itself (a shard never loads the whole corpus)."""
+    reads itself (a shard never loads the whole corpus), and the driver's
+    ``scorer`` / ``blocker`` (see :class:`LinkageIndex`)."""
     @ray.remote(num_cpus=num_cpus)
     class LinkageServer:
-        def __init__(self, cfg: LinkageConfig, block_rows: pa.Table | str):
+        def __init__(self, cfg: LinkageConfig, block_rows: pa.Table | str,
+                     scorer, blocker):
             if isinstance(block_rows, str):
                 block_rows = _read_partition(cfg, block_rows)
-            self.index = LinkageIndex(cfg, block_rows)
+            self.index = LinkageIndex(cfg, block_rows, scorer=scorer,
+                                      blocker=blocker)
 
         def ready(self) -> int:
             return len(self.index._row_id)
@@ -344,11 +337,12 @@ class ShardedLinkageIndex:
     top-k therefore equals the single-index top-k (pinned by
     ``test_sharded_index_matches_single``)."""
 
-    def __init__(self, cfg: LinkageConfig, actors: list, n_shards: int):
+    def __init__(self, cfg: LinkageConfig, actors: list, n_shards: int,
+                 blocker):
         self.cfg = cfg
         self._actors = actors
         self._n = n_shards
-        self._blocker = blocker_for(cfg)
+        self._blocker = blocker
 
     @classmethod
     def build(cls, records: ray.data.Dataset,
@@ -379,11 +373,13 @@ class ShardedLinkageIndex:
                 "alongside the new ones)")
         rows.write_parquet(index_dir, partition_cols=["shard"])
 
+        scorer, blocker = get_scorer(cfg.scorer), blocker_for(cfg)
         Shard = serving_actor(num_cpus)
-        actors = [Shard.remote(cfg, os.path.join(index_dir, f"shard={s}"))
+        actors = [Shard.remote(cfg, os.path.join(index_dir, f"shard={s}"),
+                               scorer, blocker)
                   for s in range(n_shards)]
         ray.get([a.ready.remote() for a in actors])    # surface load errors
-        return cls(cfg, actors, n_shards)
+        return cls(cfg, actors, n_shards, blocker)
 
     def link(self, content: str, lang: str = "txt", *, k: int = 5,
              min_score: float | None = None) -> list[dict]:

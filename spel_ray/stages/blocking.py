@@ -73,7 +73,7 @@ _EXACT_FAMILY = np.uint64(0xE0E0E0E0E0E0E0E0)
 _MIX = np.uint64(0xFF51AFD7ED558CCD)
 
 
-def _sha16_bytes(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+def sha16_bytes(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     """(n, 16) uint8 — the first 16 raw bytes of a lowercase-hex sha256
     column, decoded by a vectorized gather over the Arrow string buffers (no
     per-row decode)."""
@@ -133,7 +133,7 @@ def carrier_keys(langs, shas) -> np.ndarray:
     on sha alone made identical content under different langs share no block
     at all under suppress_dup_bands (the non-carrier kept only its
     lang-specific exact key while its bands were suppressed)."""
-    return _carrier_keys_from(_sha8_u64(_sha16_bytes(shas)),
+    return _carrier_keys_from(_sha8_u64(sha16_bytes(shas)),
                               _lang_salts(langs))
 
 
@@ -170,7 +170,7 @@ class BlockKeyExploder:
         band_h ^= band_h >> np.uint64(32)
 
         # sha bytes + exact keys straight from the Arrow buffers
-        sha16_np = _sha16_bytes(batch["content_sha256"])
+        sha16_np = sha16_bytes(batch["content_sha256"])
         sha8 = _sha8_u64(sha16_np)
         lang_salt = _lang_salts(batch["lang"])
 

@@ -288,7 +288,9 @@ def blocking_quality(records: ray.data.Dataset, pairs: ray.data.Dataset,
     """
     from spel_ray.config import LinkageConfig
     from spel_ray.extension import get_scorer
+    from spel_ray.stages.blocking import sha16_bytes
     from spel_ray.stages.minhash import MinHasher, fixed_binary_view, sig_dtype
+    from spel_ray.stages.scoring import matches, score_gather
     from spel_ray.state.shuffle import topk_rows
 
     cfg = cfg or LinkageConfig()
@@ -323,48 +325,38 @@ def blocking_quality(records: ray.data.Dataset, pairs: ray.data.Dataset,
     dt = sig_dtype(cfg)
     sketched = MinHasher(cfg)(pa.table(
         {"norm_content": pa.array(parts["norm_content"], pa.string())}))
-    sigs = fixed_binary_view(sketched["sig"], cfg.num_perm, dt)
-    toks = fixed_binary_view(sketched["sig_tok"], cfg.num_perm_tok, dt)
-    n_chars = parts["n_chars"].to_numpy(np.int64)
-    sha = parts["content_sha256"].to_numpy()
+    gold = {"sig": fixed_binary_view(sketched["sig"], cfg.num_perm, dt),
+            "sig_tok": fixed_binary_view(sketched["sig_tok"],
+                                         cfg.num_perm_tok, dt),
+            "n_chars": parts["n_chars"].to_numpy(np.int64),
+            "sha16": sha16_bytes(pa.array(parts["content_sha256"],
+                                          pa.string())).view(np.uint64)}
 
     lo, hi = np.triu_indices(s, k=1)
     thr = cfg.score_threshold
-    if len(lo):
-        # the CONFIGURED scorer, same resolution as pairs.py — truth and
-        # candidate scores must come from one function or completeness can
-        # exceed 1.0 under a custom-scorer registration
-        _, exact, score = get_scorer(cfg.scorer).score_pairs(
-            cfg, sig_lo=sigs[lo], sig_hi=sigs[hi],
-            tok_lo=toks[lo], tok_hi=toks[hi],
-            n_lo=n_chars[lo], n_hi=n_chars[hi],
-            sha_eq=(sha[lo] == sha[hi]))
-        n_truth = int((exact | (score >= thr)).sum())
-        n_truth_strong = int((exact | (score >= strong_threshold)).sum())
-    else:
-        n_truth = n_truth_strong = 0
+    # the CONFIGURED scorer through pair-gen's gather: truth and candidate
+    # scores from one function, or completeness can exceed 1.0
+    _, exact, score = score_gather(get_scorer(cfg.scorer), cfg,
+                                   gold, lo, gold, hi)
+    n_truth = int(matches(exact, score, thr).sum())
+    n_truth_strong = int(matches(exact, score, strong_threshold).sum())
 
     sample_ids = np.sort(parts["row_id"].to_numpy(np.int64))
     ids_ref = ray.put(sample_ids)
 
     def sample_counts(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         k = ray.get(ids_ref)
         plo = batch.column("id_lo").to_numpy()
         phi = batch.column("id_hi").to_numpy()
         _, lo_hit = _sorted_get(k, k, plo.astype(np.int64, copy=False))
         _, hi_hit = _sorted_get(k, k, phi.astype(np.int64, copy=False))
         m = batch.filter(pa.array(lo_hit & hi_hit))
-        matched = pc.or_(m["exact"], pc.greater_equal(m["score"], thr))
-        strong = pc.or_(m["exact"],
-                        pc.greater_equal(m["score"], strong_threshold))
         return pa.table({
             "n_cand_sample": pa.array([m.num_rows], pa.int64()),
             "n_matched": pa.array(
-                [pc.sum(pc.cast(matched, pa.int64())).as_py() or 0],
-                pa.int64()),
+                [matches(m["exact"], m["score"], thr).sum()], pa.int64()),
             "n_matched_strong": pa.array(
-                [pc.sum(pc.cast(strong, pa.int64())).as_py() or 0],
+                [matches(m["exact"], m["score"], strong_threshold).sum()],
                 pa.int64()),
         })
 

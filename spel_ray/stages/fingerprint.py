@@ -136,7 +136,7 @@ def fingerprint_batch(batch: pa.Table, *, strip_comments: bool = True) -> pa.Tab
 
     ``norm_content`` (the shingling view) is comment-stripped per lang when
     ``strip_comments`` — sha256 and n_chars stay over the RAW content (the
-    per-row invariant is untouched)."""
+    per-row invariant is untouched); null content counts as ``""``."""
     content = batch["content"].to_pylist()
     row_ids = _row_ids_np(batch["repo"].to_pylist(),
                           batch["path"].to_pylist(),
@@ -150,7 +150,8 @@ def fingerprint_batch(batch: pa.Table, *, strip_comments: bool = True) -> pa.Tab
     out = batch.append_column("row_id", pa.array(row_ids, pa.int64()))
     out = out.append_column("content_sha256", pa.array(shas, pa.string()))
     out = out.append_column("norm_content", _norm_ws(view))
-    out = out.append_column("n_chars", pc.cast(pc.utf8_length(batch["content"]), pa.int64()))
+    out = out.append_column("n_chars", pc.cast(
+        pc.utf8_length(batch["content"]), pa.int64()).fill_null(0))
     # parquet-inherited pandas metadata makes the schema unhashable for
     # Ray's schema dedup (benign but log-spamming) — drop it
     return out.replace_schema_metadata(None)
@@ -163,7 +164,7 @@ def text_record_batch(batch: pa.Table, text_col: str, id_col: str,
     norm_content, n_chars), so near-dup over documents or chunks runs the
     same blocking stages as code rows. ``id_col`` becomes row_id as is;
     every row is tagged ``lang``; sha256 and n_chars are over the raw
-    text."""
+    text, a null text counting as ``""``."""
     texts = batch[text_col]
     shas = [hashlib.sha256((t or "").encode()).hexdigest()
             for t in texts.to_pylist()]
@@ -172,7 +173,7 @@ def text_record_batch(batch: pa.Table, text_col: str, id_col: str,
         "lang": pa.array([lang] * batch.num_rows, pa.string()),
         "content_sha256": pa.array(shas, pa.string()),
         "norm_content": _norm_ws(texts),
-        "n_chars": pc.cast(pc.utf8_length(texts), pa.int64()),
+        "n_chars": pc.cast(pc.utf8_length(texts), pa.int64()).fill_null(0),
     })
 
 

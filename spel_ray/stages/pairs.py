@@ -39,12 +39,12 @@ from functools import partial
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray.data
 
 from spel_ray.config import LinkageConfig
 from spel_ray.extension import get_scorer
 from spel_ray.stages.blocking import block_features
+from spel_ray.stages.scoring import matches, score_gather
 from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_groupby,
                                     bucketed_topk)
 
@@ -146,14 +146,8 @@ def gen_and_score_bucket(t: pa.Table, cfg: LinkageConfig, scorer) -> pa.Table:
     if len(lo) == 0:
         return PAIR_SCHEMA.empty_table()
 
-    # the pluggable pair scorer (§2.10) is resolved DRIVER-side in
-    # scored_candidate_pairs (worker processes don't see user
-    # registrations) and shipped in the task closure
-    jac, exact, score = scorer.score_pairs(
-        cfg, sig_lo=f["sig"][lo], sig_hi=f["sig"][hi],
-        tok_lo=f["sig_tok"][lo], tok_hi=f["sig_tok"][hi],
-        n_lo=f["n_chars"][lo], n_hi=f["n_chars"][hi],
-        sha_eq=(f["sha16"][lo] == f["sha16"][hi]).all(axis=1))
+    # ``scorer`` (§2.10) rides the closure from scored_candidate_pairs
+    jac, exact, score = score_gather(scorer, cfg, f, lo, f, hi)
     return pa.table([ids[lo], ids[hi], f["block_key"][lo], jac, exact, score,
                      capped],
                     schema=PAIR_SCHEMA)
@@ -179,7 +173,7 @@ def mine_hard_negatives(pairs: ray.data.Dataset, cfg: LinkageConfig,
     thr = cfg.score_threshold
 
     def non_matches(batch: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.less(batch["score"], thr), pc.invert(batch["exact"]))
+        keep = ~matches(batch["exact"], batch["score"], thr)
         return batch.filter(keep).select(["id_lo", "id_hi", "score"])
 
     return bucketed_topk(

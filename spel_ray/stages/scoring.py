@@ -1,4 +1,9 @@
-"""Pair scoring — cheap sketch pass + exact verifier for the borderline band.
+"""Pair scoring — the one pair verdict, a cheap sketch pass and an exact
+verifier for the borderline band.
+
+The verdict is written once, here: batch linkage, serving and evaluation
+score every pair through :func:`score_gather` and decide it with
+:func:`matches` (exact, or score ≥ a threshold).
 
 Two-tier design (the engine's T1 scorer analog, reference
 ``model.py:161-192``):
@@ -56,6 +61,25 @@ def score_pair_arrays(cfg: LinkageConfig,
     blend = cfg.char_weight * jac + cfg.tok_weight * tok_jac
     score = np.where(exact, 1.0, blend * (0.8 + 0.2 * len_ratio))
     return jac, exact, score
+
+
+def score_gather(scorer, cfg: LinkageConfig, a: dict, ia: np.ndarray,
+                 b: dict, ib: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one scorer call: pair i is row ``ia[i]`` of ``a`` against row
+    ``ib[i]`` of ``b``, both ``blocking.block_features``-style dicts (sig,
+    sig_tok, n_chars, sha16). Returns the scorer's (jac, exact, score)."""
+    return scorer.score_pairs(
+        cfg, sig_lo=a["sig"][ia], sig_hi=b["sig"][ib],
+        tok_lo=a["sig_tok"][ia], tok_hi=b["sig_tok"][ib],
+        n_lo=a["n_chars"][ia], n_hi=b["n_chars"][ib],
+        sha_eq=(a["sha16"][ia] == b["sha16"][ib]).all(axis=1))
+
+
+def matches(exact, score, thr: float) -> np.ndarray:
+    """The one match rule: a pair matches when it is exact or its score is
+    ≥ ``thr``. Takes numpy or Arrow columns, returns a bool array."""
+    return np.asarray(exact, dtype=bool) | (np.asarray(score) >= thr)
 
 
 class BorderlineVerifier:
@@ -144,8 +168,7 @@ def edges_from_pairs(pairs: ray.data.Dataset, cfg: LinkageConfig) -> ray.data.Da
     thr = cfg.score_threshold
 
     def filt(batch: pa.Table) -> pa.Table:
-        keep = pc.or_(pc.greater_equal(batch["score"], thr), batch["exact"])
-        t = batch.filter(keep)
+        t = batch.filter(matches(batch["exact"], batch["score"], thr))
         return pa.table({"lo": t["id_lo"], "hi": t["id_hi"]})
 
     return pairs.map_batches(filt, batch_format="pyarrow")

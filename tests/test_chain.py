@@ -15,7 +15,8 @@ from spel_ray.config import LinkageConfig
 from spel_ray.functions.dedup import minhash_dedup
 from spel_ray.pipelines.incremental import incremental_link
 from spel_ray.pipelines.linkage import linkage_stats, run_linkage
-from spel_ray.pipelines.sharded import run_linkage_sharded, sharded_block_rows
+from spel_ray.pipelines.sharded import (parquet_files, run_linkage_sharded,
+                                       sharded_block_rows)
 from spel_ray.sources.synth import generate_code_table
 from spel_ray.stages.blocking import block_keys
 from spel_ray.stages.fingerprint import row_id_batch
@@ -141,7 +142,7 @@ def test_shard_manifest_records_and_checks_inputs(corpus, tmp_path):
     _, path = corpus
     cfg = LinkageConfig()
     ck = tmp_path / "ck"
-    sharded_block_rows(path, cfg, str(ck), num_shards=3)
+    sharded_block_rows(parquet_files(path), cfg, str(ck), num_shards=3)
     sdir = ck / "block_rows" / "shard=00001"
     man = json.loads((sdir / "manifest.json").read_text())
     assert man["stage"] == "block_rows/shard=00001"
@@ -205,6 +206,35 @@ def test_degenerate_inputs_are_typed(tiny_code_table, n):
     assert _schema(out) == pa.schema([("doc_id", pa.int64()),
                                       ("cluster_id", pa.int64())])
     assert out.take_all() == [{"doc_id": 7, "cluster_id": 7}] * n
+
+
+def test_null_content_links_like_empty_content():
+    """Null content is the text ``""`` its sha256 hashes, 0 characters long:
+    batch linkage and the serving index take it without a RuntimeWarning
+    (a null n_chars used to be cast to int64) and cluster it with its
+    ``""`` twin."""
+    import warnings
+
+    from spel_ray.serving import LinkageIndex
+    from tests.conftest import row_id_of
+
+    t = pa.table({"repo": ["r1", "r2", "r3"], "path": ["a.py"] * 3,
+                  "commit": ["c1"] * 3, "lang": ["python"] * 3,
+                  "content": pa.array([None, "", "x = compute(1)\n"],
+                                      pa.string())})
+    twins = sorted(row_id_of(r, "a.py", "c1") for r in ("r1", "r2"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_linkage(rd.from_arrow(t), LinkageConfig(), num_buckets=4)
+        assert sorted(r["n_chars"] for r in res.records.take_all()) == \
+            [0, 0, 15]
+        sizes = _clusters(res).groupby("cluster_id")["row_id"].agg(sorted)
+        assert twins in list(sizes) and len(sizes) == 2
+
+        idx = LinkageIndex.build(rd.from_arrow(t), LinkageConfig())
+        hits = idx.link_many([None, ""], ["python"] * 2)
+    want = [{"row_id": r, "score": 1.0, "exact": True} for r in twins]
+    assert hits == [want, want]
 
 
 def test_hot_block_of_identical_rows_takes_the_capped_chain():

@@ -108,3 +108,95 @@ def test_default_blocker_registry_matches_pipeline_stage():
     via_registry = get_blocker_factory("lsh-minhash")(cfg)(recs)
     via_stages = BlockKeyExploder(cfg)(MinHasher(cfg)(recs))
     assert via_registry.equals(via_stages)
+
+
+# ------------------------------------------- one pair verdict, every index
+def _serve_everywhere(corpus, cfg, contents, langs, index_dir):
+    """``link_many`` answers of the driver's ``LinkageIndex``, a 2-shard
+    ``ShardedLinkageIndex`` and a replica ``serving_actor`` built from the
+    driver's scorer and blocker."""
+    import ray
+
+    from spel_ray.serving import (LinkageIndex, ShardedLinkageIndex,
+                                  serving_actor)
+    from spel_ray.stages.blocking import blocker_for
+
+    single = LinkageIndex.build(corpus, cfg)
+    sharded = ShardedLinkageIndex.build(corpus, cfg, n_shards=2,
+                                        num_cpus=0.5, index_dir=index_dir)
+    replica = serving_actor(num_cpus=0.5).remote(
+        cfg, single._to_rows(), get_scorer(cfg.scorer), blocker_for(cfg))
+    try:
+        return (single.link_many(contents, langs, k=5),
+                sharded.link_many(contents, langs, k=5),
+                [ray.get(replica.link.remote(c, lg, 5))
+                 for c, lg in zip(contents, langs)])
+    finally:
+        for a in [*sharded._actors, replica]:
+            ray.kill(a)
+
+
+def test_plugins_serve_the_same_from_every_index(tmp_path):
+    """A scorer and a blocker registered only in this process (function
+    scope): the shard and replica actors get them from the driver, so they
+    answer exactly like the driver's index."""
+    from spel_ray.sources import read_code_table, synth_parquet_path
+
+    @register_scorer("test-char-jaccard")
+    class CharJaccardScorer:
+        """The char-MinHash Jaccard estimate alone."""
+
+        def score_pairs(self, cfg, *, sig_lo, sig_hi, tok_lo, tok_hi,
+                        n_lo, n_hi, sha_eq):
+            jac = (sig_lo == sig_hi).mean(axis=1)
+            return jac, np.asarray(sha_eq, dtype=bool), jac.copy()
+
+    @register_blocker("test-rekeyed-lsh")
+    def rekeyed_blocker(cfg):
+        default = get_blocker_factory("lsh-minhash")(cfg)
+
+        def rekey(batch: pa.Table) -> pa.Table:
+            rows = default(batch)
+            keys = np.asarray(rows["block_key"], np.int64) ^ 0x3C3C
+            return rows.set_column(0, "block_key", pa.array(keys, pa.int64()))
+        return rekey
+
+    corpus = read_code_table(synth_parquet_path(300, seed=7))
+    sample = corpus.limit(8).to_pandas()
+    contents = (list(sample["content"])
+                + [c + "\n# trailing change" for c in sample["content"]])
+    langs = list(sample["lang"]) * 2
+    cfg = LinkageConfig(scorer="test-char-jaccard", blocker="test-rekeyed-lsh")
+    single, sharded, replica = _serve_everywhere(
+        corpus, cfg, contents, langs, str(tmp_path / "idx"))
+    assert sum(len(h) for h in single) > 0
+    assert sharded == single
+    assert replica == single
+
+
+def test_an_exact_pair_matches_at_score_zero_everywhere(tmp_path):
+    """Exact or score ≥ threshold is the one match rule: with a scorer that
+    flags sha-equal pairs exact at score 0, batch linkage clusters the pair
+    and every index returns it."""
+    from tests.conftest import row_id_of
+
+    @register_scorer("test-exact-at-zero")
+    class ExactAtZeroScorer:
+        def score_pairs(self, cfg, *, sig_lo, sig_hi, tok_lo, tok_hi,
+                        n_lo, n_hi, sha_eq):
+            zero = np.zeros(len(sha_eq))
+            return zero, np.asarray(sha_eq, dtype=bool), zero.copy()
+
+    cfg = LinkageConfig(scorer="test-exact-at-zero")
+    t = _table()
+    res = run_linkage(rd.from_arrow(t), cfg, num_buckets=4)
+    by_cluster = res.clusters.to_pandas().groupby("cluster_id")["row_id"]
+    pair = sorted([row_id_of("r1", "a.py", "c1"), row_id_of("r2", "b.py", "c2")])
+    assert sorted(map(sorted, by_cluster.agg(list))) == sorted(
+        [pair, [row_id_of("r3", "c.py", "c3")], [row_id_of("r4", "d.py", "c4")]])
+
+    want = [{"row_id": r, "score": 0.0, "exact": True} for r in pair]
+    body = t["content"][0].as_py()
+    single, sharded, replica = _serve_everywhere(
+        rd.from_arrow(t), cfg, [body], ["python"], str(tmp_path / "idx"))
+    assert single == sharded == replica == [want]

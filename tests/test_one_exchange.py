@@ -28,6 +28,11 @@
 - One blocker: only ``spel_ray/stages/blocking.py`` constructs a
   ``BlockKeyExploder``; batch linkage, serving queries and upserts get
   their block rows from ``blocker_for(cfg)``.
+- One pair verdict: only ``spel_ray/stages/scoring.py`` calls
+  ``.score_pairs(`` (``score_gather``, over ``block_features``-style dicts)
+  or compares against ``score_threshold`` (``matches``: exact or score ≥
+  the threshold); pair-gen, hard negatives, stats, blocking quality and
+  the serving probe call them.
 - Named UDFs: no function in ``spel_ray`` is called ``partial`` (it would
   shadow ``functools.partial``, and a plan's stats would read
   ``MapBatches(partial)``); each is named after what it computes.
@@ -331,6 +336,59 @@ def test_one_sketch_path():
                      "with MinHasher(cfg)(table):\n" + "\n".join(bad))
 
 
+VERDICT = "stages/scoring.py"
+
+# (module, enclosing function) -> why it may score or threshold by hand
+VERDICT_ALLOWED: dict = {}
+
+COMPARE_CALLS = ("greater_equal", "greater", "less", "less_equal")
+
+
+def _verdicts(tree: ast.AST):
+    """(function, line, what) for every scorer call and every comparison
+    against ``score_threshold`` — read directly or through a name assigned
+    from it in the same top-level function."""
+    derived: dict = {}
+    for func, node in _nodes(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(n, ast.Attribute) and n.attr == "score_threshold"
+                for n in ast.walk(node.value)):
+            derived.setdefault(func, set()).update(
+                t.id for t in node.targets if isinstance(t, ast.Name))
+
+    def thresholded(func, exprs):
+        return any((isinstance(n, ast.Attribute)
+                    and n.attr == "score_threshold")
+                   or (isinstance(n, ast.Name)
+                       and n.id in derived.get(func, ()))
+                   for e in exprs for n in ast.walk(e))
+
+    found = []
+    for func, node in _nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "score_pairs":
+                found.append((func, node.lineno, ".score_pairs("))
+            if node.func.attr in COMPARE_CALLS \
+                    and thresholded(func, node.args):
+                found.append((func, node.lineno, "threshold comparison"))
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                for op in node.ops) \
+                and thresholded(func, [node.left, *node.comparators]):
+            found.append((func, node.lineno, "threshold comparison"))
+    return found
+
+
+def test_only_scoring_module_gives_the_pair_verdict():
+    bad = [f"spel_ray/{mod}:{line} ({func}): {what}"
+           for mod, tree in _modules() if mod != VERDICT
+           for func, line, what in _verdicts(tree)
+           if (mod, func) not in VERDICT_ALLOWED]
+    assert not bad, ("hand-written scorer call or match rule outside "
+                     "stages/scoring.py — use score_gather / matches:\n"
+                     + "\n".join(bad))
+
+
 def test_no_function_is_named_partial():
     bad = [f"spel_ray/{mod}:{node.lineno}" for mod, tree in _modules()
            for _, node in _nodes(tree)
@@ -341,18 +399,21 @@ def test_no_function_is_named_partial():
 
 
 def test_allowlist_entries_are_live():
-    """An allowlist entry whose exchange, top-k, commit, pair enumeration or
-    md5 is gone must be removed."""
+    """An allowlist entry whose exchange, top-k, commit, pair enumeration,
+    pair verdict or md5 is gone must be removed."""
     exchanges, commits, pairs, topks = set(), set(), set(), set()
+    verdicts = set()
     for mod, tree in _modules():
         exchanges |= {(mod, func) for func, _, _ in _violations(tree)}
         topks |= {(mod, func) for func, _, _ in _topks(tree)}
         commits |= {(mod, func) for func, _, _ in _commits(tree)}
         pairs |= {(mod, func) for func, _, _ in _pair_kernels(tree)}
+        verdicts |= {(mod, func) for func, _, _ in _verdicts(tree)}
     assert set(ALLOWED) <= exchanges
     assert set(TOPK_ALLOWED) <= topks
     assert set(COMMIT_ALLOWED) <= commits
     assert set(PAIR_ALLOWED) <= pairs
+    assert set(VERDICT_ALLOWED) <= verdicts
     md5 = {func for mod, tree in _modules() if mod == SKETCH
            for func, _, what in _sketch_calls(tree) if what == "md5"}
     assert set(MD5_ALLOWED) <= md5

@@ -226,7 +226,7 @@ FLAGSHIP_PAIRS_SHA256 = \
 
 
 def test_flagship_pairs_pinned():
-    from spel_ray.pipelines.linkage import run_linkage
+    from spel_ray.pipelines.linkage import linkage_stats, run_linkage
     from spel_ray.sources.synth import generate_code_table
 
     res = run_linkage(rd.from_arrow(generate_code_table(2000, seed=42)),
@@ -237,6 +237,8 @@ def test_flagship_pairs_pinned():
     assert p.num_rows == 8006
     digest = hashlib.sha256(repr(p.to_pydict()).encode()).hexdigest()
     assert digest == FLAGSHIP_PAIRS_SHA256
+    # the stats count edges by the same match rule the edge filter uses
+    assert linkage_stats(res)["edges_over_threshold"] == res.edges.count()
 
 
 def test_merge_bucket_matches_a_dict_fold():

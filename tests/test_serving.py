@@ -7,7 +7,14 @@ import ray
 import ray.data as rd
 
 from spel_ray.config import LinkageConfig
+from spel_ray.extension import get_scorer
 from spel_ray.serving import LinkageIndex, serving_actor
+from spel_ray.stages.blocking import blocker_for
+
+
+def _plugins(cfg):
+    """``cfg``'s scorer and blocker, resolved here as ``build`` does."""
+    return {"scorer": get_scorer(cfg.scorer), "blocker": blocker_for(cfg)}
 
 
 def _corpus():
@@ -66,7 +73,7 @@ def test_serving_actor_roundtrip():
     # re-wrap the already-collected block rows in an actor replica
     tbl = idx._to_rows()
     Server = serving_actor(num_cpus=0.5)
-    srv = Server.remote(cfg, tbl)
+    srv = Server.remote(cfg, tbl, **_plugins(cfg))
     near = ("def load_records(path, schema):\n"
             "    rows = parse(path)\n"
             "    return [normalize(r, schema) for r in rows]  # v2\n")
@@ -296,7 +303,7 @@ def _index_of(cfg, table: pa.Table) -> LinkageIndex:
 
     rows = BlockKeyExploder(cfg)(MinHasher(cfg)(fingerprint_batch(
         table, strip_comments=cfg.strip_comments)))
-    return LinkageIndex(cfg, rows)
+    return LinkageIndex(cfg, rows, **_plugins(cfg))
 
 
 def _synth400():
@@ -407,7 +414,7 @@ def test_index_with_dead_rows_equals_its_live_rows():
     idx = _index_of(cfg, t)
     victims = np.unique(idx._row_id)[::7]
     idx._drop_row_ids(victims)
-    rebuilt = LinkageIndex(cfg, idx._to_rows())
+    rebuilt = LinkageIndex(cfg, idx._to_rows(), **_plugins(cfg))
     assert len(rebuilt._keys) == int(idx._alive.sum()) < len(idx._keys)
     probes = t["content"].to_pylist()[:60]
     langs = t["lang"].to_pylist()[:60]
@@ -442,7 +449,8 @@ def test_index_probe_misses_return_nothing():
                   [np.iinfo(np.int64).max], []):
         miss = {**feats, "block_key": np.asarray(probe, np.int64)}
         assert idx._hits_from_features(miss, 0.0, 5) == [], probe
-    empty = LinkageIndex(cfg, block_schema(cfg).empty_table())
+    empty = LinkageIndex(cfg, block_schema(cfg).empty_table(),
+                         **_plugins(cfg))
     assert empty._hits_from_features(feats, 0.0, 5) == []
     assert empty.link_many(t["content"].to_pylist()[:3]) == [[], [], []]
 

@@ -10,7 +10,8 @@ import ray.data as rd
 
 from spel_ray.config import LinkageConfig
 from spel_ray.pipelines.linkage import run_linkage
-from spel_ray.pipelines.sharded import run_linkage_sharded, sharded_block_rows
+from spel_ray.pipelines.sharded import (parquet_files, run_linkage_sharded,
+                                       sharded_block_rows)
 from spel_ray.sources.synth import generate_code_table
 
 
@@ -76,11 +77,13 @@ def test_shard_resume_skips_complete_shards(multi_file_input, tmp_path):
 def test_config_change_invalidates_shards(multi_file_input, tmp_path):
     ck = str(tmp_path / "ck")
     cfg1 = LinkageConfig()
-    sharded_block_rows(multi_file_input, cfg1, ck, num_shards=2)
+    sharded_block_rows(parquet_files(multi_file_input), cfg1, ck,
+                       num_shards=2)
     m0 = json.loads((Path(ck) / "block_rows" / "shard=00000" /
                      "manifest.json").read_text())
     cfg2 = LinkageConfig(shingle_k=5)       # different fingerprint
-    sharded_block_rows(multi_file_input, cfg2, ck, num_shards=2)
+    sharded_block_rows(parquet_files(multi_file_input), cfg2, ck,
+                       num_shards=2)
     m1 = json.loads((Path(ck) / "block_rows" / "shard=00000" /
                      "manifest.json").read_text())
     assert m0["config"] != m1["config"]
