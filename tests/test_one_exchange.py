@@ -12,9 +12,11 @@
   Every function handed to an exchange or to ``map_batches`` is a named
   ``def``, never a ``lambda``, so a plan's stats name each operator.
 - One partial top-k: ``select_k_unstable``, a pandas
-  ``.groupby(...).head(`` or ``.sort_values(...).head(`` and a Ray
-  ``.sort(...).limit(`` chain appear only in ``spel_ray/state/shuffle.py``;
-  every "best k per group" runs ``topk_rows`` / ``bucketed_topk``.
+  ``.groupby(...).head(`` or ``.sort_values(...).head(``, a Ray
+  ``.sort(...).limit(`` chain and a ``[:k]`` slice of ``sorted(...)`` or of
+  an ``np.lexsort`` / ``np.argsort`` order appear only in
+  ``spel_ray/state/shuffle.py``; every "best k per group" runs
+  ``topk_rows`` / ``bucketed_topk``.
 - One committer: ``"manifest.json"`` and the ``os.replace`` commit appear only
   in ``spel_ray/state/checkpoint.py`` (``CheckpointedRun.run_stage``); other
   modules checkpoint through it.
@@ -53,7 +55,11 @@ ALLOWED = {
 
 
 # (module, enclosing function) -> why it may rank by hand
-TOPK_ALLOWED: dict = {}
+TOPK_ALLOWED = {
+    ("stages/candidates.py", "canonicalize_candidates"):
+        "ranks one record's own Python list of candidates inside a per-row "
+        "loop, not a dataset or a batch",
+}
 
 
 COMMITTER = "state/checkpoint.py"
@@ -131,10 +137,42 @@ def _chain(node: ast.AST, outer: str, inner: str) -> bool:
         and node.func.value.func.attr == inner
 
 
+SORTS = ("sorted", "lexsort", "argsort")
+
+
+def _sorts(node: ast.AST) -> bool:
+    """``node`` calls ``sorted`` / ``np.lexsort`` / ``np.argsort``."""
+    return any(isinstance(n, ast.Call)
+               and getattr(n.func, "id", getattr(n.func, "attr", None))
+               in SORTS for n in ast.walk(node))
+
+
+def _head_slice(node: ast.AST) -> bool:
+    """``node`` is a ``<recv>[:k]`` head slice (no start or step; an end
+    that is not a negative literal such as ``[:-1]``)."""
+    s = getattr(node, "slice", None)
+    return isinstance(node, ast.Subscript) and isinstance(s, ast.Slice) \
+        and s.lower is None and s.step is None and s.upper is not None \
+        and not (isinstance(s.upper, ast.UnaryOp)
+                 and isinstance(s.upper.op, ast.USub))
+
+
 def _topks(tree: ast.AST):
-    """(function, line, what) for every hand-rolled top-k."""
+    """(function, line, what) for every hand-rolled top-k: a ``[:k]`` of a
+    sort counts whether the sort is sliced directly or through a name
+    assigned from it in the same top-level function."""
+    ordered: dict = {}
+    for func, node in _nodes(tree):
+        if isinstance(node, ast.Assign) and _sorts(node.value):
+            ordered.setdefault(func, set()).update(
+                t.id for t in node.targets if isinstance(t, ast.Name))
     found = []
     for func, node in _nodes(tree):
+        if _head_slice(node) and (
+                _sorts(node.value)
+                or (isinstance(node.value, ast.Name)
+                    and node.value.id in ordered.get(func, ()))):
+            found.append((func, node.lineno, "[:k] of a sort"))
         if isinstance(node, ast.Attribute) \
                 and node.attr == "select_k_unstable":
             found.append((func, node.lineno, "select_k_unstable"))

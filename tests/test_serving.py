@@ -183,6 +183,77 @@ def test_sharded_index_refuses_dirty_index_dir(tmp_path):
                                   index_dir=str(d))
 
 
+def test_sharded_build_removes_its_temp_dir(tmp_path, monkeypatch):
+    """Without ``index_dir`` the shard partitions go to a temp dir, which
+    build removes once every shard has loaded; the index still answers
+    like the single index."""
+    import tempfile
+
+    from spel_ray.serving import ShardedLinkageIndex
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    cfg = LinkageConfig()
+    single = LinkageIndex.build(_corpus(), cfg)
+    sharded = ShardedLinkageIndex.build(_corpus(), cfg, n_shards=2,
+                                        num_cpus=0.5)
+    try:
+        assert not list(tmp_path.glob("spel_ray_index_*"))
+        queries = [("SELECT id, name FROM users WHERE active = 1 ORDER BY id",
+                    "sql"),
+                   ("function mergeTables(left, right) {\n"
+                    "    return left.concat(right).sort();\n}\n", "js"),
+                   ("unrelated gardening prose, zero overlap", "txt")]
+        want = [single.link(q, lg) for q, lg in queries]
+        assert want[0] and want[1]
+        assert [sharded.link(q, lg) for q, lg in queries] == want
+    finally:
+        for a in sharded._actors:
+            ray.kill(a)
+
+
+def test_ties_rank_by_row_id_on_every_index():
+    """Five rows with one content under different (repo, path, commit),
+    two in main and three upserted into a live delta: at k=2 every index
+    answers the two smallest row_ids at score 1.0, exact — with the delta
+    live, after compaction, on 3 shards and on a replica actor — and a
+    batch holding the query twice answers both copies the same."""
+    from spel_ray.serving import ShardedLinkageIndex
+    from tests.conftest import row_id_of
+
+    body = "def same_body(x):\n    return [x * 2 for _ in range(3)]\n"
+    keys = sorted([(f"r{i}", f"p{i}.py", f"c{i}") for i in range(5)],
+                  key=lambda k: row_id_of(*k))
+    # the smallest row_id goes to the delta, the second smallest to main
+    rows = pa.Table.from_pylist([
+        {"repo": r, "path": p, "commit": c, "lang": "python",
+         "content": body} for r, p, c in keys[1::2] + keys[0::2]])
+    want = [{"row_id": row_id_of(*k), "score": 1.0, "exact": True}
+            for k in keys[:2]]
+    cfg = LinkageConfig()
+    idx = LinkageIndex.build(rd.from_arrow(rows.slice(0, 2)), cfg)
+    idx.add(rows.slice(2), compact_ratio=10.0)
+    assert idx._delta is not None
+    assert idx.link(body, "python", k=2) == want
+    got = idx.link_many([body, "unrelated gardening prose", body],
+                        ["python", "txt", "python"], k=2)
+    assert got[0] == got[2] == want and got[1] == []
+
+    idx.add(rows.slice(0, 0), compact_ratio=0.0)        # force compaction
+    assert idx._delta is None
+    assert idx.link(body, "python", k=2) == want
+
+    sharded = ShardedLinkageIndex.build(rd.from_arrow(rows), cfg,
+                                        n_shards=3, num_cpus=0.5)
+    replica = serving_actor(num_cpus=0.5).remote(cfg, idx._to_rows(),
+                                                 **_plugins(cfg))
+    try:
+        assert sharded.link(body, "python", k=2) == want
+        assert ray.get(replica.link.remote(body, "python", 2)) == want
+    finally:
+        for a in [*sharded._actors, replica]:
+            ray.kill(a)
+
+
 def test_multigrain_resolution():
     from spel_ray.stages.candidates import resolve_multigrain
 
@@ -436,22 +507,26 @@ def test_index_probe_misses_return_nothing():
     t = _synth400().slice(0, 100)
     idx = _index_of(cfg, t)
     feats = block_features(_index_of(cfg, t.slice(0, 1))._to_rows(), cfg)
-    assert idx._hits_from_features(feats, 0.0, 5)    # the real keys hit
+    feats["q"] = np.zeros(len(feats["block_key"]), np.int64)
+    assert idx.hits(feats, 0.0, 5).num_rows          # the real keys hit
     # the one-step range gather equals a per-key scan, dead rows skipped
     idx._drop_row_ids(np.unique(idx._row_id)[::3])
     probe = np.r_[feats["block_key"], idx._keys[::50]]
     want = sorted({int(p) for b in probe
                    for p in np.flatnonzero((idx._keys == b) & idx._alive)})
-    assert idx._live_positions(probe).tolist() == want and want
+    pos, found_by = idx._live_positions(probe)
+    assert np.unique(pos).tolist() == want and want
+    assert (idx._keys[pos] == probe[found_by]).all()
     keys = idx._ukeys
     gaps = np.flatnonzero(np.diff(keys) > 1)
     for probe in ([keys[gaps[0]] + 1], [keys[-1] + 1], [keys[0] - 1],
                   [np.iinfo(np.int64).max], []):
-        miss = {**feats, "block_key": np.asarray(probe, np.int64)}
-        assert idx._hits_from_features(miss, 0.0, 5) == [], probe
+        miss = {**feats, "block_key": np.asarray(probe, np.int64),
+                "q": np.zeros(len(probe), np.int64)}
+        assert idx.hits(miss, 0.0, 5).num_rows == 0, probe
     empty = LinkageIndex(cfg, block_schema(cfg).empty_table(),
                          **_plugins(cfg))
-    assert empty._hits_from_features(feats, 0.0, 5) == []
+    assert empty.hits(feats, 0.0, 5).num_rows == 0
     assert empty.link_many(t["content"].to_pylist()[:3]) == [[], [], []]
 
 
