@@ -37,7 +37,8 @@ from spel_ray.config import LinkageConfig
 from spel_ray.functions.similarity import embeddings, hyperplane_keys
 from spel_ray.stages.minhash import fixed_binary_view
 from spel_ray.stages.pairs import block_pairs, bucket_pairs, merge_pairs
-from spel_ray.state.shuffle import bucketed_groupby
+from spel_ray.state.shuffle import (bucketed_groupby, bucketed_topk,
+                                    with_schema)
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -46,13 +47,16 @@ _WORD_RE = re.compile(r"\w+", re.UNICODE)
 def exact_dedup(ds: ray.data.Dataset, text_col: str = "text",
                 id_col: str = "doc_id", *, num_buckets: int = 32
                 ) -> ray.data.Dataset:
-    """Keep the min-id row per distinct text: one exchange keyed on the
-    text itself colocates identical texts."""
-
-    def keep_min(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(id_col).drop_duplicates([text_col], keep="first")
-
-    return bucketed_groupby(ds, text_col, keep_min, num_buckets=num_buckets)
+    """Keep the min-id row per distinct text (a null text is one text): a
+    per-text top-1 by id, one exchange keyed on the text itself. Typed
+    even when empty if Ray knows ``ds``'s Arrow schema without running it
+    (not for a pandas-backed input, nor a 0-row in-memory table)."""
+    out = bucketed_topk(ds, [text_col], [(id_col, "ascending")], 1,
+                        num_buckets=num_buckets)
+    sch = ds.schema(fetch_if_missing=False)
+    if sch is None or not isinstance(sch.base_schema, pa.Schema):
+        return out
+    return with_schema(out, sch.base_schema)
 
 
 # ------------------------------------------------------------------ minhash
@@ -191,7 +195,7 @@ def simhash_candidates(ds_with_simhash: ray.data.Dataset,
                          "hamming": d[keep], "capped": capped[keep]})
 
     cand = bucketed_groupby(exploded, "seg_key", segment_pairs,
-                            num_buckets=num_buckets, batch_format="pyarrow")
+                            num_buckets=num_buckets)
     return merge_pairs(cand, [("hamming", "hamming", "min"),
                               ("capped", "capped", "min")],
                        num_buckets=num_buckets)
@@ -283,7 +287,7 @@ def embedding_neardup_pairs(ds: ray.data.Dataset, *, threshold: float = 0.95,
                          "capped": np.concatenate(cap)})
 
     cand = bucketed_groupby(exploded, "_bk", bucket_cosines,
-                            num_buckets=num_buckets, batch_format="pyarrow")
+                            num_buckets=num_buckets)
     return merge_pairs(cand, [("cosine", "cosine", "max"),
                               ("capped", "capped", "min")],
                        num_buckets=num_buckets)

@@ -35,7 +35,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from spel_ray.state.shuffle import bucketed_aggregate, bucketed_groupby
+from spel_ray.stages.minhash import fixed_binary_view
+from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_groupby,
+                                    row_numbers)
 
 
 def _value_counts(ds: ray.data.Dataset, col: str,
@@ -190,15 +192,16 @@ def approx_distinct(ds: ray.data.Dataset, *, value_fn, group_col: str,
 
     parts = ds.map_batches(group_registers, batch_format="pyarrow")
 
-    def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
-        out_g, out_n = [], []
-        for g, sub in df.groupby("group", sort=False):
-            stack = np.frombuffer(b"".join(sub["reg"]), np.uint8) \
-                .reshape(len(sub), m)
-            out_g.append(g)
-            out_n.append(hll_estimate(stack.max(axis=0)))
-        return pd.DataFrame({group_col: pd.Series(out_g, dtype="object"),
-                             "n_approx": pd.Series(out_n, dtype="float64")})
+    def reduce_group(t: pa.Table) -> pa.Table:
+        # sort by group, then one register max per run of equal groups
+        idx, rank = row_numbers(t, ["group"], [])
+        starts = np.flatnonzero(rank == 0)
+        regs = fixed_binary_view(t["reg"].take(idx), m, np.uint8)
+        return pa.table({
+            group_col: t["group"].take(idx.take(pa.array(starts))),
+            "n_approx": pa.array([hll_estimate(r) for r in
+                                  np.maximum.reduceat(regs, starts)],
+                                 pa.float64())})
 
     out = bucketed_groupby(parts, "group", reduce_group,
                            num_buckets=num_buckets)

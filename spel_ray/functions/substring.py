@@ -41,11 +41,11 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
-from spel_ray.state.shuffle import bucketed_groupby
+from spel_ray.state.shuffle import bucketed_groupby, row_numbers, with_schema
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -84,52 +84,41 @@ def dedup_repeated_substrings(ds: ray.data.Dataset, *, window: int = 16,
     chunks = explode_chunks(ds, window=window, text_col=text_col,
                             id_col=id_col)
 
-    def elect(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({
-                id_col: pd.Series(dtype="int64"),
-                "chunk_idx": pd.Series(dtype="int64"),
-                "chunk": pd.Series(dtype="object"),
-                "keep": pd.Series(dtype="bool")})
-        g = df.groupby("chunk", sort=False)[id_col]
-        nd = g.transform("nunique")
-        rep = g.transform("min")
-        keep = (nd < min_docs) | (df[id_col] == rep)
-        return pd.DataFrame({
-            id_col: df[id_col].to_numpy(np.int64),
-            "chunk_idx": df["chunk_idx"].to_numpy(np.int64),
-            "chunk": df["chunk"].to_numpy(dtype=object),
-            "keep": keep.to_numpy(bool),
-        })
+    def elect(t: pa.Table) -> pa.Table:
+        code = np.asarray(pc.dictionary_encode(
+            t["chunk"].combine_chunks()).indices)
+        ids = t[id_col].to_numpy()
+        rep = np.full(code.max(initial=-1) + 1, np.iinfo(np.int64).max)
+        np.minimum.at(rep, code, ids)
+        # distinct documents per chunk: one per distinct (chunk, doc)
+        n_docs = np.bincount(np.unique(np.stack([code, ids], 1), axis=0)[:, 0],
+                             minlength=len(rep))
+        keep = (n_docs[code] < min_docs) | (ids == rep[code])
+        return t.append_column("keep", pa.array(keep))
 
     decided = bucketed_groupby(chunks, "chunk", elect, num_buckets=num_buckets)
 
-    def rewrite(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({
-                id_col: pd.Series(dtype="int64"),
-                "clean_text": pd.Series(dtype="object"),
-                "n_chunks": pd.Series(dtype="int64"),
-                "n_chunks_removed": pd.Series(dtype="int64"),
-                "n_chars_removed": pd.Series(dtype="int64")})
-        df = df.sort_values([id_col, "chunk_idx"], kind="stable")
-        ids = df[id_col]
-        dropped = ~df["keep"].to_numpy(bool)
-        n_chunks = ids.groupby(ids).size()
-        n_rm = pd.Series(dropped, index=df.index).groupby(ids).sum()
-        chars_rm = df["chunk"].str.len().where(dropped, 0).groupby(ids).sum()
-        # one grouped join over the kept rows; docs whose every chunk was
-        # removed reindex to the empty string (cannot happen for a
-        # representative, but a doc may be non-representative throughout)
-        clean = df[df["keep"]].groupby(id_col, sort=False)["chunk"] \
-            .agg(" ".join).reindex(n_chunks.index, fill_value="")
-        return pd.DataFrame({
-            id_col: n_chunks.index.to_numpy(np.int64),
-            "clean_text": clean.to_numpy(dtype=object),
-            "n_chunks": n_chunks.to_numpy(np.int64),
-            "n_chunks_removed": n_rm.to_numpy(np.int64),
-            "n_chars_removed": chars_rm.to_numpy(np.int64),
-        })
+    def rewrite(t: pa.Table) -> pa.Table:
+        idx, rank = row_numbers(t, [id_col], [("chunk_idx", "ascending")])
+        t = t.take(idx)
+        starts = np.flatnonzero(rank == 0)
+        keep = t["keep"].to_numpy()
+        lost = np.where(keep, 0, pc.utf8_length(t["chunk"]).to_numpy())
+        n_kept, n_removed, chars_removed = np.add.reduceat(
+            np.stack([keep, ~keep, lost]).astype(np.int64), starts, axis=1)
+        # each document's kept chunks in chunk order, joined by one space
+        # (a document with no kept chunk becomes "")
+        kept = pa.ListArray.from_arrays(
+            pa.array(np.concatenate([[0], np.cumsum(n_kept)]), pa.int32()),
+            t["chunk"].filter(keep).combine_chunks())
+        return pa.table({id_col: t[id_col].take(pa.array(starts)),
+                         "clean_text": pc.binary_join(kept, " "),
+                         "n_chunks": n_kept + n_removed,
+                         "n_chunks_removed": n_removed,
+                         "n_chars_removed": chars_removed})
 
-    return bucketed_groupby(decided, id_col, rewrite,
-                            num_buckets=num_buckets)
+    return with_schema(
+        bucketed_groupby(decided, id_col, rewrite, num_buckets=num_buckets),
+        pa.schema([(id_col, pa.int64()), ("clean_text", pa.string())]
+                  + [(c, pa.int64()) for c in ("n_chunks", "n_chunks_removed",
+                                               "n_chars_removed")]))

@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from spel_ray.state.shuffle import (bucketed_groupby, bucketed_topk,
-                                    merge_bucket, topk_rows)
+                                    merge_bucket, topk_rows, with_schema)
 
 _STOPWORDS = {
     "en": {"the", "and", "of", "to", "a", "in", "is", "it", "that", "for"},
@@ -167,8 +167,7 @@ def token_vocab(ds: ray.data.Dataset, top_k: int = 100, *,
                          order, top_k)
 
     tops = bucketed_groupby(ds.map_batches(token_counts, batch_format="pyarrow"),
-                            "token", bucket_top, num_buckets=num_buckets,
-                            batch_format="pyarrow")
+                            "token", bucket_top, num_buckets=num_buckets)
     return topk_rows(pa.concat_tables(
         [pa.schema([("token", pa.string()), ("n", pa.int64())]).empty_table(),
          *tops.iter_batches(batch_size=None, batch_format="pyarrow")]),
@@ -338,24 +337,25 @@ def tfidf_top_terms(ds: ray.data.Dataset, *, k: int = 3,
             "n_tok": pa.array(g["n_tok"].to_numpy(np.int64), pa.int64()),
         })
 
-    def score_bucket(df: pd.DataFrame) -> pa.Table:
-        dfs = df.groupby("term", sort=False)["term"].transform("size")
-        per_term_df = dfs.to_numpy(np.int64)
+    def score_bucket(t: pa.Table) -> pa.Table:
+        code = np.asarray(pc.dictionary_encode(
+            t["term"].combine_chunks()).indices)
+        per_term_df = np.bincount(code)[code]
         uniq, inv = np.unique(per_term_df, return_inverse=True)
         idf = np.array([_math.log(n_docs / int(u)) for u in uniq])[inv]
-        tfidf = (df["c"].to_numpy(np.int64) / df["n_tok"].to_numpy(np.int64)
-                 ) * idf
-        return pa.table({
-            id_col: pa.array(df[id_col].to_numpy(np.int64), pa.int64()),
-            "term": pa.array(df["term"].tolist(), pa.string()),
-            "tfidf": pa.array(tfidf, pa.float64())})
+        tfidf = (t["c"].to_numpy() / t["n_tok"].to_numpy()) * idf
+        return pa.table({id_col: t[id_col], "term": t["term"],
+                         "tfidf": pa.array(tfidf, pa.float64())})
 
     scored = bucketed_groupby(
         ds.map_batches(explode, batch_format="pyarrow"), "term",
         score_bucket, num_buckets=num_buckets)
-    return bucketed_topk(scored, [id_col], [("tfidf", "descending"),
-                                            ("term", "ascending")], k,
-                         num_buckets=num_buckets)
+    top = bucketed_topk(scored, [id_col], [("tfidf", "descending"),
+                                           ("term", "ascending")], k,
+                        num_buckets=num_buckets)
+    return with_schema(top, pa.schema([(id_col, pa.int64()),
+                                       ("term", pa.string()),
+                                       ("tfidf", pa.float64())]))
 
 
 def _line_arrays(col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -201,7 +201,7 @@ def cluster_report(res: LinkageResult, *, num_buckets: int = 16,
 
     summary = bucketed_groupby(
         res.clusters.select_columns(["cluster_id"]), "cluster_id",
-        bucket_summary, num_buckets=num_buckets, batch_format="pyarrow")
+        bucket_summary, num_buckets=num_buckets)
     parts = pa.concat_tables(
         [pa.schema([(c, pa.int64()) for c in cols]).empty_table(),
          *summary.iter_batches(batch_size=None, batch_format="pyarrow")])

@@ -27,11 +27,14 @@ per-doc walk is O(total squashed chars).
 
 from __future__ import annotations
 
-import pandas as pd
+import pyarrow as pa
 import ray.data
 
-ALIGN_COLS = ["doc_id", "gold_idx", "pred_idx", "gold_label", "pred_label",
-              "status", "correct"]
+ALIGN_SCHEMA = pa.schema([
+    ("doc_id", pa.int64()), ("gold_idx", pa.int64()),
+    ("pred_idx", pa.int64()), ("gold_label", pa.string()),
+    ("pred_label", pa.string()), ("status", pa.string()),
+    ("correct", pa.bool_())])
 
 
 def _squash(s: str | None) -> str:
@@ -130,21 +133,26 @@ def align_gold_pred(gold: ray.data.Dataset, pred: ray.data.Dataset, *,
     (SURVEY.md §7.4)."""
     from spel_ray.state.shuffle import cogroup
 
-    def spans(t) -> dict:
-        df = t.to_pandas().sort_values([doc_col, idx_col])
-        return {doc: list(zip(g[text_col], g[label_col]))
-                for doc, g in df.groupby(doc_col, sort=False)}
+    def spans(t: pa.Table) -> dict:
+        """doc → its (text, label) spans in ``idx_col`` order; a span with
+        a null doc belongs to no document."""
+        t = t.sort_by([(doc_col, "ascending"), (idx_col, "ascending")])
+        out: dict = {}
+        for doc, text, label in zip(*(t[c].to_pylist()
+                                      for c in (doc_col, text_col,
+                                                label_col))):
+            if doc is not None:
+                out.setdefault(doc, []).append((text, label))
+        return out
 
-    def resolve(g, p) -> pd.DataFrame:
+    def resolve(g: pa.Table, p: pa.Table) -> pa.Table:
         g_spans, p_spans = spans(g), spans(p)
         rows: list[dict] = []
         for doc in sorted(g_spans.keys() | p_spans.keys()):
             for r in align_spans(g_spans.get(doc, []), p_spans.get(doc, [])):
                 r["doc_id"] = doc
                 rows.append(r)
-        out = pd.DataFrame(rows, columns=ALIGN_COLS)
-        return out.astype({"doc_id": "int64", "gold_idx": "int64",
-                           "pred_idx": "int64", "correct": "bool"})
+        return pa.Table.from_pylist(rows, schema=ALIGN_SCHEMA)
 
     return cogroup(gold, pred, doc_col, doc_col, resolve,
                    num_buckets=num_buckets)
@@ -208,8 +216,6 @@ def subword_word_alignment(pieces: list[str], words: list[str], *,
 def alignment_report(aligned: ray.data.Dataset) -> dict:
     """Micro summary over an alignment run: per-status counts + span-level
     accuracy over two-sided units (partial per batch, final on driver)."""
-    import pyarrow as pa
-
     def status_counts(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         g = df.groupby("status", sort=False).agg(

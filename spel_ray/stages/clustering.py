@@ -32,15 +32,11 @@ mirroring the reference's per-epoch reload fixpoint
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
 from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_groupby,
                                     pair_key)
-
-_EMPTY_EDGES = pd.DataFrame({"lo": pd.Series(dtype="int64"),
-                             "hi": pd.Series(dtype="int64")})
 
 
 def _local_union_find(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,15 +71,19 @@ def _local_union_find(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return nodes, nodes[label]
 
 
-def _contract_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    """Bucket of directed rows (node, nbr) → spanning star edges
-    (root=lo, member=hi) of each local component."""
-    if len(df) == 0:
-        return _EMPTY_EDGES
-    nodes, root = _local_union_find(df["node"].to_numpy(),
-                                    df["nbr"].to_numpy())
+def _star(a: np.ndarray, b: np.ndarray) -> pa.Table:
+    """Edge arrays → spanning star edges (root=lo, member=hi) of each
+    component; typed when empty."""
+    nodes, root = _local_union_find(a, b)
     keep = root != nodes
-    return pd.DataFrame({"lo": root[keep], "hi": nodes[keep]})
+    return pa.table({"lo": pa.array(root[keep], pa.int64()),
+                     "hi": pa.array(nodes[keep], pa.int64())})
+
+
+def _contract_bucket(t: pa.Table) -> pa.Table:
+    """Bucket of directed rows (node, nbr) → the spanning star edges of
+    each local component."""
+    return _star(t["node"].to_numpy(), t["nbr"].to_numpy())
 
 
 def _to_directed(batch: pa.Table) -> pa.Table:
@@ -117,15 +117,13 @@ def _driver_components(edges: ray.data.Dataset) -> ray.data.Dataset:
     it. This is the hybrid the Ray guide prescribes for connected components
     ("union-find on the driver only if the candidate set is provably
     small")."""
-    df = edges.to_pandas()
-    if len(df) == 0:
-        return edges
-    nodes, root = _local_union_find(df["lo"].to_numpy(), df["hi"].to_numpy())
-    keep = root != nodes
-    return ray.data.from_arrow(pa.table({
-        "lo": pa.array(root[keep], pa.int64()),
-        "hi": pa.array(nodes[keep], pa.int64()),
-    }))
+    # a 0-row block may carry no columns: read only the non-empty ones
+    parts = [b for b in edges.iter_batches(batch_size=None,
+                                           batch_format="pyarrow")
+             if b.num_rows]
+    return ray.data.from_arrow(_star(
+        np.concatenate([b["lo"].to_numpy() for b in parts]),
+        np.concatenate([b["hi"].to_numpy() for b in parts])))
 
 
 def connected_components(edges: ray.data.Dataset, *, num_buckets: int = 64,
@@ -141,7 +139,10 @@ def connected_components(edges: ray.data.Dataset, *, num_buckets: int = 64,
     # edge rows are 16 bytes — pin once so the count probe and the chosen
     # branch don't each re-execute the whole upstream pair pipeline
     edges = edges.materialize()
-    if driver_threshold > 0 and edges.count() <= driver_threshold:
+    n = edges.count()
+    if n == 0:          # typed, though Ray may hand back column-less blocks
+        return ray.data.from_arrow(_star(*[np.zeros(0, np.int64)] * 2))
+    if driver_threshold > 0 and n <= driver_threshold:
         return _driver_components(edges)
     cur = edges
     prev_sig: tuple[int, int] | None = None

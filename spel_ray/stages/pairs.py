@@ -193,5 +193,5 @@ def scored_candidate_pairs(block_rows: ray.data.Dataset, cfg: LinkageConfig,
     pairs = bucketed_groupby(block_rows, "block_key",
                              partial(gen_and_score_bucket, cfg=cfg,
                                      scorer=scorer),
-                             num_buckets=num_buckets, batch_format="pyarrow")
+                             num_buckets=num_buckets)
     return merge_pairs(pairs, PAIR_MERGE, num_buckets=num_buckets)

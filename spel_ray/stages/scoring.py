@@ -28,7 +28,6 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
@@ -92,17 +91,23 @@ class BorderlineVerifier:
         self.prefix = 128  # JW is O(prefix·window) per pair; token-Jaccard
         # carries most of the weight, the prefix only breaks near-ties
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        a = batch["content_lo"].fillna("").tolist()
-        b = batch["content_hi"].fillna("").tolist()
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        """Pairs with ``content_lo`` / ``content_hi`` → the same pairs
+        without them, ``score`` replaced by the verified score and
+        ``verified`` set, columns in name order (``verify_borderline``'s
+        union order)."""
+        a = pc.fill_null(batch["content_lo"], "").to_pylist()
+        b = pc.fill_null(batch["content_hi"], "").to_pylist()
         tok_jac = token_jaccard_pairs(a, b, self.token_re)
         jw = jaro_winkler_pairs([s[: self.prefix] for s in a],
                                 [s[: self.prefix] for s in b])
         verified = 0.7 * tok_jac + 0.3 * jw
-        out = batch.drop(columns=["content_lo", "content_hi"]).copy()
-        out["score"] = np.maximum(verified, batch["exact"].to_numpy().astype(float))
-        out["verified"] = True
-        return out
+        score = np.maximum(verified, np.asarray(batch["exact"], dtype=float))
+        out = batch.drop_columns(["content_lo", "content_hi", "score"]) \
+                   .append_column("score", pa.array(score, pa.float64())) \
+                   .append_column("verified",
+                                  pa.array(np.ones(batch.num_rows, bool)))
+        return out.select(sorted(out.column_names))
 
 
 def _band(batch: pa.Table, lo: float, hi: float, border: bool) -> pa.Table:
@@ -121,10 +126,6 @@ def _passthrough(batch: pa.Table, lo: float, hi: float,
             .select(cols)
 
 
-def _select(batch: pa.Table, cols: list[str]) -> pa.Table:
-    return batch.select(cols)
-
-
 def verify_borderline(pairs: ray.data.Dataset, records: ray.data.Dataset,
                       cfg: LinkageConfig, *, num_buckets: int = 32
                       ) -> ray.data.Dataset:
@@ -136,10 +137,10 @@ def verify_borderline(pairs: ray.data.Dataset, records: ray.data.Dataset,
         return pairs
 
     lo, hi = cfg.verify_low, cfg.verify_high
-    # both branches leave in one column order and block type (Arrow) for
-    # the union. The order comes from the INPUT schema (+verified): either
-    # branch may be empty and schema-less (no borderline pairs / all
-    # borderline).
+    # both branches leave in one column order (sorted names) and block
+    # type (Arrow) for the union. The pass-through order comes from the
+    # INPUT schema (+verified): either branch may be empty and schema-less
+    # (no borderline pairs / all borderline).
     cols = sorted(set(pairs.columns()) | {"verified"})
     passthrough = pairs.map_batches(
         partial(_passthrough, lo=lo, hi=hi, cols=cols), batch_format="pyarrow")
@@ -155,11 +156,9 @@ def verify_borderline(pairs: ray.data.Dataset, records: ray.data.Dataset,
     # autoscaling pool (1, N): never reserves every CPU on a small node, so
     # upstream stages can't be starved into a scheduling deadlock
     verified = border.map_batches(BorderlineVerifier, fn_constructor_args=(cfg,),
-                              batch_format="pandas",
-                              batch_size=cfg.pair_batch_size,
-                              concurrency=(1, cfg.scorer_concurrency))
-    verified = verified.map_batches(partial(_select, cols=cols),
-                                    batch_format="pyarrow")
+                                  batch_format="pyarrow",
+                                  batch_size=cfg.pair_batch_size,
+                                  concurrency=(1, cfg.scorer_concurrency))
     return passthrough.union(verified)
 
 

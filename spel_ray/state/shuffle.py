@@ -8,10 +8,11 @@ hand):
   (int-like, float or string) → uniform id in ``[0, num_buckets)``.
 - ``bucketed_groupby(ds, key, fn)`` — the only exchange: key →
   ``hash(key) % num_buckets`` → one sort shuffle on the small bucket id →
-  ``fn`` receives an entire bucket as ONE pandas DataFrame / Arrow table and
-  handles all its groups vectorized. ``groupby(key).map_groups(fn)`` would
-  call ``fn`` once per distinct key; with millions of tiny groups (LSH
-  blocks, pair keys, graph nodes) that per-group Python overhead dominates.
+  ``fn`` receives an entire bucket as ONE Arrow table, handles all its
+  groups vectorized and returns an Arrow table (the one block format).
+  ``groupby(key).map_groups(fn)`` would call ``fn`` once per distinct key;
+  with millions of tiny groups (LSH blocks, pair keys, graph nodes) that
+  per-group Python overhead dominates.
 - ``bucketed_aggregate(ds, keys, aggs)`` — SQL ``GROUP BY`` with
   decomposable aggregates (sum / min / max / COUNT(*)): the Ray-free Arrow
   kernel ``merge_bucket`` runs once per input batch as the partial, then
@@ -21,7 +22,8 @@ hand):
   (PARTITION BY keys ORDER BY order) <= k``: the Ray-free Arrow kernel
   ``topk_rows`` runs once per input batch as the partial, then once per
   bucket as the final (≙ per-batch top-k → global top-k, reference
-  ``model.py:126-158``). ``keys=[]`` is a global top-k.
+  ``model.py:126-158``). ``keys=[]`` is a global top-k. Its ordering
+  step, ``row_numbers``, is SQL ``ROW_NUMBER()`` for in-bucket windows.
 - ``cogroup(left, right, left_on, right_on, fn)`` — co-partitions two
   datasets on an integer key: ``fn(left_tbl, right_tbl)`` runs once per
   bucket, each side under its own column names.
@@ -98,30 +100,35 @@ def bucketed_groupby(
     fn: Callable,
     *,
     num_buckets: int = 64,
-    batch_format: str = "pandas",
 ) -> ray.data.Dataset:
     """Shuffle rows by hash(key) into ``num_buckets`` groups; ``fn`` gets each
-    bucket as one DataFrame / Arrow table (bucket column removed) and must
-    itself group by ``key`` vectorized. Every group lands wholly in one
-    bucket, so per-bucket work is final; a GROUP BY with sum / min / max /
-    count is :func:`bucketed_aggregate`.
+    bucket as one Arrow table (bucket column removed), must itself group by
+    ``key`` vectorized and returns an Arrow table. Every group lands wholly
+    in one bucket, so per-bucket work is final; a GROUP BY with sum / min /
+    max / count is :func:`bucketed_aggregate`.
 
-    Use ``batch_format="pyarrow"`` whenever a bucket may contain null int64
-    ids — the pandas conversion would silently promote those columns to
-    float64 and corrupt large ids."""
+    Raises TypeError, naming ``fn``, when ``fn`` returns anything other than
+    a ``pa.Table``."""
     with_bucket = ds.map_batches(
         partial(add_bucket_column, key=key, num_buckets=num_buckets),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    if batch_format == "pyarrow":
-        def run(bucket: pa.Table):
-            return fn(bucket.drop_columns(["_bucket"]))
-    else:
-        def run(bucket):
-            return fn(bucket.drop(columns=["_bucket"]))
+    def run(bucket: pa.Table) -> pa.Table:
+        out = fn(bucket.drop_columns(["_bucket"]))
+        if not isinstance(out, pa.Table):
+            raise TypeError(f"bucket function {run.__name__!r} returned "
+                            f"{type(out).__name__}, not a pyarrow.Table")
+        return out
 
     return with_bucket.groupby("_bucket").map_groups(
-        _named(run, fn), batch_format=batch_format)
+        _named(run, fn), batch_format="pyarrow")
+
+
+def with_schema(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
+    """``ds`` plus one typed 0-row block. Ray passes a 0-row block through
+    ``map_batches`` without calling the UDF and without its columns, so an
+    operator whose result has no rows would otherwise have no schema."""
+    return ds.union(ray.data.from_arrow(schema.empty_table()))
 
 
 def _named(run: Callable, fn: Callable) -> Callable:
@@ -200,17 +207,20 @@ def bucketed_aggregate(ds: ray.data.Dataset, keys: list[str], aggs, *,
                            batch_format="pyarrow")
     return bucketed_groupby(parts, keys,
                             partial(merge_bucket, keys=keys, aggs=final),
-                            num_buckets=num_buckets, batch_format="pyarrow")
+                            num_buckets=num_buckets)
 
 
 # ------------------------------------------------------------ top-k
-def topk_rows(t: pa.Table, keys: list[str], order, k: int) -> pa.Table:
-    """The first ``k`` rows of each distinct ``keys`` tuple under ``order``
-    (``(column, "ascending" | "descending")`` pairs), Ray-free, in
-    ``(keys, order)`` order and typed even when empty; ``keys=[]`` is one
-    global top-k. Keys group like :func:`merge_bucket`'s; nulls in an
-    ``order`` column sort last (a NaN just before them). End ``order`` with
-    a unique column: a total order makes the result partitioning-free."""
+def row_numbers(t: pa.Table, keys: list[str], order
+                ) -> tuple[pa.Array, np.ndarray]:
+    """SQL ``ROW_NUMBER() OVER (PARTITION BY keys ORDER BY order) - 1``,
+    Ray-free: ``(idx, rank)`` with ``idx`` the row positions of ``t`` in
+    ``(keys, order)`` order and ``rank[i]`` the 0-based rank of row
+    ``idx[i]`` in its group (a group starts where ``rank == 0``). ``order``
+    is ``(column, "ascending" | "descending")`` pairs; ``keys=[]`` is one
+    group. Keys group like :func:`merge_bucket`'s; nulls in an ``order``
+    column sort last (a NaN just before them). End ``order`` with a unique
+    column: a total order makes the result partitioning-free."""
     canon = _canon_keys(t, keys)
     idx = pc.sort_indices(canon, sort_keys=[(c, "ascending") for c in keys]
                           + list(order), null_placement="at_end")
@@ -223,7 +233,14 @@ def topk_rows(t: pa.Table, keys: list[str], order, k: int) -> pa.Table:
             pc.dictionary_encode(col, null_encoding="encode").indices)
         start[1:] |= code[1:] != code[:-1]
     pos = np.arange(len(idx))
-    rank = pos - np.maximum.accumulate(np.where(start, pos, 0))
+    return idx, pos - np.maximum.accumulate(np.where(start, pos, 0))
+
+
+def topk_rows(t: pa.Table, keys: list[str], order, k: int) -> pa.Table:
+    """The first ``k`` rows of each distinct ``keys`` tuple under ``order``
+    (:func:`row_numbers` rank < ``k``), Ray-free, in ``(keys, order)`` order
+    and typed even when empty; ``keys=[]`` is one global top-k."""
+    idx, rank = row_numbers(t, keys, order)
     return t.take(idx.filter(pa.array(rank < k)))
 
 
@@ -246,8 +263,7 @@ def bucketed_topk(ds: ray.data.Dataset, keys: list[str], order, k: int, *,
                          f"(missing {missing})")
     fn = partial(topk_rows, keys=keys, order=order, k=k)
     return bucketed_groupby(ds.map_batches(fn, batch_format="pyarrow"), keys,
-                            fn, num_buckets=num_buckets,
-                            batch_format="pyarrow")
+                            fn, num_buckets=num_buckets)
 
 
 # ------------------------------------------------------------ two-sided
@@ -332,7 +348,7 @@ def _cogroup(left: ray.data.Dataset, ltype: pa.StructType,
         return fn(side(t, "_l"), side(t, "_r"))
 
     return bucketed_groupby(both, "_key", _named(run, fn),
-                            num_buckets=num_buckets, batch_format="pyarrow")
+                            num_buckets=num_buckets)
 
 
 def cogroup(left: ray.data.Dataset, right: ray.data.Dataset,
@@ -342,11 +358,13 @@ def cogroup(left: ray.data.Dataset, right: ray.data.Dataset,
     ``fn(left_tbl, right_tbl)`` runs once per bucket with every left and
     every right row whose key hashes there, each side an Arrow table under
     its own column names (typed even when a side has no rows in the bucket),
-    and returns that bucket's output (Arrow table or DataFrame). NULL keys
-    of both sides share one bucket; matching semantics are ``fn``'s.
+    and returns that bucket's output as an Arrow table. NULL keys of both
+    sides share one bucket; matching semantics are ``fn``'s.
 
     Raises ValueError (on the driver) for a reserved column name, a missing
-    or non-integer key, or a side that is empty with no schema."""
+    or non-integer key, or a side that is empty with no schema; TypeError
+    (from the bucket task) when ``fn`` returns anything but a
+    ``pa.Table``."""
     ltype, rtype = _row_type(left), _row_type(right)
     _validate(ltype, rtype, left_on, right_on, merged=False)
     return _cogroup(left, ltype, right, rtype, left_on, right_on, fn,

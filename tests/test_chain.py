@@ -208,6 +208,69 @@ def test_degenerate_inputs_are_typed(tiny_code_table, n):
     assert out.take_all() == [{"doc_id": 7, "cluster_id": 7}] * n
 
 
+def _one_doc(n):
+    return pa.table({"doc_id": pa.array([7], pa.int64()),
+                     "text": ["one lonely document"]}).slice(0, n)
+
+
+@pytest.mark.parametrize("n, source", [
+    (0, "parquet"), (1, "parquet"), (1, "arrow"),
+    pytest.param(0, "arrow", marks=pytest.mark.xfail(
+        strict=True, reason="Ray knows no schema for an in-memory 0-row "
+                            "table without running it"))])
+def test_exact_dedup_on_degenerate_inputs(tmp_path, n, source):
+    """0- and 1-row inputs: no crash, the input's columns and Arrow types.
+    An in-memory 0-row table is the case Ray cannot type without running
+    the input (see CHANGES.md, FOUND on ``exact_dedup``)."""
+    from spel_ray.functions.dedup import exact_dedup
+
+    docs = _one_doc(n)
+    if source == "parquet":
+        pq.write_table(docs, tmp_path / "docs.parquet")
+        ds = rd.read_parquet(str(tmp_path / "docs.parquet"))
+    else:
+        ds = rd.from_arrow(docs)
+    out = exact_dedup(ds, num_buckets=4)
+    assert _schema(out) == docs.schema
+    assert out.take_all() == docs.to_pylist()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_bucket_operators_on_degenerate_inputs(n):
+    """0- and 1-row inputs through the operators whose buckets are Arrow
+    kernels: no crash, and the documented columns with Arrow types."""
+    from spel_ray.functions.substring import dedup_repeated_substrings
+    from spel_ray.functions.text import tfidf_top_terms
+    from spel_ray.stages.clustering import connected_components
+
+    docs = _one_doc(n)
+    out = dedup_repeated_substrings(rd.from_arrow(docs), window=2,
+                                    num_buckets=4)
+    assert _schema(out) == pa.schema(
+        [("doc_id", pa.int64()), ("clean_text", pa.string())]
+        + [(c, pa.int64()) for c in ("n_chunks", "n_chunks_removed",
+                                     "n_chars_removed")])
+    assert out.take_all() == [{"doc_id": 7,
+                               "clean_text": "one lonely document",
+                               "n_chunks": 2, "n_chunks_removed": 0,
+                               "n_chars_removed": 0}] * n
+
+    out = tfidf_top_terms(rd.from_arrow(docs), num_buckets=4)
+    assert _schema(out) == pa.schema([("doc_id", pa.int64()),
+                                      ("term", pa.string()),
+                                      ("tfidf", pa.float64())])
+    assert sorted(r["term"] for r in out.take_all()) == \
+        ["document", "lonely", "one"][:3 * n]
+
+    edges = pa.table({"lo": pa.array([1], pa.int64()),
+                      "hi": pa.array([2], pa.int64())}).slice(0, n)
+    out = connected_components(rd.from_arrow(edges), num_buckets=4,
+                               driver_threshold=0)
+    assert _schema(out) == edges.schema
+    star = {(r["lo"], r["hi"]) for r in out.take_all()}
+    assert star == ({(1, 2)} if n else set())
+
+
 def test_null_content_links_like_empty_content():
     """Null content is the text ``""`` its sha256 hashes, 0 characters long:
     batch linkage and the serving index take it without a RuntimeWarning

@@ -28,6 +28,13 @@ def test_exact_dedup_keeps_min_id():
     assert sorted(out["doc_id"]) == [10, 12, 13, 14]  # 11 removed
 
 
+def test_exact_dedup_takes_pandas_backed_input():
+    """A pandas-backed input has a schema Ray knows, but not an Arrow one."""
+    docs = _docs().to_pandas().sample(frac=1.0, random_state=3)
+    out = exact_dedup(rd.from_pandas(docs), num_buckets=4).to_pandas()
+    assert sorted(out["doc_id"]) == [10, 12, 13, 14]  # 11 removed
+
+
 def test_minhash_dedup_clusters_near_dups():
     out = minhash_dedup(_docs(), num_buckets=4).to_pandas()
     lab = dict(zip(out["doc_id"], out["cluster_id"]))

@@ -1,6 +1,8 @@
 """Driver-contract conformance: queries() vs oracle_sql() on sf0.001 —
 a fast local mirror of the driver's CORRECTNESS harness."""
 
+import os
+
 import duckdb
 import pandas as pd
 import pytest
@@ -47,17 +49,31 @@ ORACLED = ["lineitem_agg", "filter_project", "top_orders", "distinct_flags",
            "blocking_quality", "cluster_sizes", "linkage_docs_incremental",
            "sorted_neighborhood", "customers_no_orders",
            "customers_big_orders", "event_gaps", "gopher_rules",
-           "running_revenue", "revenue_rollup"]
+           "running_revenue", "revenue_rollup", "exact_dedup_docs",
+           "order_ranks", "tfidf_top_terms", "approx_distinct_tokens",
+           "substring_dedup", "linkage_docs_verified"]
+# oracled by a golden parquet captured at sf0.01, so checked at that scale
+GOLDEN_SF = os.path.join(os.path.dirname(SF), "sf0.01")
+GOLDEN = ["align_segmentations"]
 
 
-@pytest.mark.parametrize("name", ORACLED)
-def test_query_matches_oracle(con, name):
-    mine = _canon(entrymod.queries()[name](SF))
+def _check_oracle(con, name, sf):
+    mine = _canon(entrymod.queries()[name](sf))
     oracle = _canon(con.execute(entrymod.oracle_sql()[name]).fetchdf())
     assert list(mine.columns) == list(oracle.columns)
     assert mine.shape == oracle.shape
     pd.testing.assert_frame_equal(mine, oracle, check_dtype=False,
                                   atol=1e-6, rtol=1e-9)
+
+
+@pytest.mark.parametrize("name", ORACLED)
+def test_query_matches_oracle(con, name):
+    _check_oracle(con, name, SF)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_query_matches_golden(name):
+    _check_oracle(duckdb.connect(), name, GOLDEN_SF)
 
 
 def test_null_group_keys_match_the_oracle(tmp_path):
@@ -335,3 +351,16 @@ def test_join_rejects_non_integer_key():
                 num_buckets=2)
     with pytest.raises(ValueError, match="how must be one of"):
         bucketed_join(left, right, "k", "rk", how="cross", num_buckets=2)
+
+
+def test_cogroup_kernel_must_return_arrow():
+    """A bucket function's output is an Arrow table: a cogroup kernel that
+    returns a DataFrame fails its task with TypeError, naming itself."""
+    def to_frame(lt, rt):
+        return lt.to_pandas()
+
+    from spel_ray.state.shuffle import cogroup
+
+    left, right = _join_sides()
+    with pytest.raises(TypeError, match="'to_frame' returned DataFrame"):
+        cogroup(left, right, "k", "rk", to_frame, num_buckets=2).materialize()

@@ -38,6 +38,11 @@
 - Named UDFs: no function in ``spel_ray`` is called ``partial`` (it would
   shadow ``functools.partial``, and a plan's stats would read
   ``MapBatches(partial)``); each is named after what it computes.
+- One batch format: no ``"pandas"`` literal (``batch_format="pandas"`` as
+  an argument or a parameter default) appears in ``spel_ray``, and no
+  ``bucketed_groupby`` call passes ``batch_format``: every exchange bucket
+  is an Arrow table.
+  Driver queries may still return a DataFrame at the very end.
 """
 
 import ast
@@ -434,6 +439,30 @@ def test_no_function_is_named_partial():
            and node.name == "partial"]
     assert not bad, ("name the function after what it computes:\n"
                      + "\n".join(bad))
+
+
+def _pandas_batches(tree: ast.AST):
+    """(function, line, what) for every ``"pandas"`` literal (a batch format,
+    as an argument or a parameter default) and every bucketed_groupby call
+    that picks a batch format."""
+    found = []
+    for func, node in _nodes(tree):
+        if isinstance(node, ast.Constant) and node.value == "pandas":
+            found.append((func, node.lineno, '"pandas"'))
+        if isinstance(node, ast.Call) \
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) \
+                == "bucketed_groupby" \
+                and any(kw.arg == "batch_format" for kw in node.keywords):
+            found.append((func, node.lineno, "bucketed_groupby(batch_format=)"))
+    return found
+
+
+def test_one_batch_format():
+    bad = [f"spel_ray/{mod}:{line} ({func}): {what}"
+           for mod, tree in _modules()
+           for func, line, what in _pandas_batches(tree)]
+    assert not bad, ("every exchange bucket is an Arrow table — port the "
+                     "bucket function to Arrow:\n" + "\n".join(bad))
 
 
 def test_allowlist_entries_are_live():

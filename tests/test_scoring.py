@@ -52,13 +52,15 @@ def test_length_ratio_gates_score():
 
 def test_borderline_verifier_direct():
     v = BorderlineVerifier(CFG)
-    batch = pd.DataFrame({
+    batch = pa.table({
         "id_lo": [1, 3], "id_hi": [2, 4],
-        "exact": [False, False],
+        "exact": [False, False], "score": [0.5, 0.5],
         "content_lo": ["def f(a, b): return a + b", "alpha beta gamma"],
         "content_hi": ["def f(a, b): return a + b", "delta epsilon zeta"],
     })
     out = v(batch)
+    assert isinstance(out, pa.Table)     # Arrow in, Arrow out
+    out = out.to_pandas()
     assert out.loc[0, "score"] > 0.9     # identical
     assert out.loc[1, "score"] < 0.4     # disjoint tokens
     assert out["verified"].all()
