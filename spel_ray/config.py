@@ -76,7 +76,8 @@ class LinkageConfig:
     max_cc_rounds: int = 50         # safety bound on fixpoint rounds
     cc_driver_threshold: int = 5_000_000   # edge sets below this run driver-side
     # union-find (edges are 16 bytes each — 5M edges = 80 MB); above it the
-    # distributed hash-to-min rounds take over
+    # distributed hash-to-min rounds take over. It also bounds the star and
+    # the row ids that cluster assignment gathers on the driver (else: shuffle)
 
     # --- execution ---
     batch_size: int = 2048          # rows per map_batches call for sketching

@@ -11,11 +11,13 @@ as Ray-Data stages:
       → duplicate-pair merge (bucketed groupby #2, conflict vote)
       → borderline verify    (hash join on content, actor pool) [optional]
       → threshold edges
-      → connected components (large/small-star rounds)
-      → cluster assignment   (bucketed min-label)
+      → connected components (driver union-find, or hash-to-min rounds)
+      → cluster assignment   (min-label: on the driver below
+                              cc_driver_threshold, else bucketed)
 
 Every stage streams; nothing materializes the full input except the edge set
-inside the fixpoint loop (edges ≪ input).
+inside the fixpoint loop (edges ≪ input) and the row ids (8 bytes each) that
+assignment gathers on the driver below ``cc_driver_threshold``.
 
 The chain is written once, as :func:`link_head` (fingerprint → block rows)
 and :func:`link_tail` (pairs → edges → components → assignment). Every entry
@@ -121,7 +123,8 @@ def link_tail(records: ray.data.Dataset, blocks: ray.data.Dataset,
         edges, num_buckets=num_buckets, max_rounds=cfg.max_cc_rounds,
         driver_threshold=cfg.cc_driver_threshold))
     clusters = stage("clusters", lambda: assign_clusters(
-        ids, star, num_buckets=num_buckets))
+        ids, star, num_buckets=num_buckets,
+        driver_threshold=cfg.cc_driver_threshold))
     if clusters.schema(fetch_if_missing=False) is None:
         clusters = empty_clusters()
     return LinkageResult(records=records, pairs=pairs, edges=edges,

@@ -27,6 +27,10 @@ order-independent (count, checksum) signature of the round's output. One
 shuffle per round; the driver loop only materializes the (small) edge set —
 mirroring the reference's per-epoch reload fixpoint
 (``finetune_step_1.py:97-104``).
+
+Assignment labels each id with the minimum of itself and its star root: one
+``merge_bucket`` min on the driver when the star and the ids fit under the
+driver threshold, else one bucketed min-label shuffle of the same kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import pyarrow as pa
 import ray.data
 
 from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_groupby,
-                                    pair_key)
+                                    merge_bucket, pair_key)
 
 
 def _local_union_find(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,6 +113,21 @@ def _checksum(edges: ray.data.Dataset) -> tuple[int, int]:
     return count, total
 
 
+def _gather(ds: ray.data.Dataset, cols: list[str],
+            limit: int | None = None) -> pa.Table | None:
+    """``cols`` of ``ds`` as one int64 table on the driver, or None as soon
+    as more than ``limit`` rows have arrived."""
+    typed = pa.schema([(c, pa.int64()) for c in cols])
+    parts, n = [typed.empty_table()], 0
+    for b in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+        n += b.num_rows
+        if limit is not None and n > limit:
+            return None
+        if b.num_rows:          # a 0-row block may carry no columns
+            parts.append(b.select(cols).cast(typed))
+    return pa.concat_tables(parts)
+
+
 def _driver_components(edges: ray.data.Dataset) -> ray.data.Dataset:
     """Small-edge-set fast path: one union-find on the driver.
 
@@ -117,13 +136,8 @@ def _driver_components(edges: ray.data.Dataset) -> ray.data.Dataset:
     it. This is the hybrid the Ray guide prescribes for connected components
     ("union-find on the driver only if the candidate set is provably
     small")."""
-    # a 0-row block may carry no columns: read only the non-empty ones
-    parts = [b for b in edges.iter_batches(batch_size=None,
-                                           batch_format="pyarrow")
-             if b.num_rows]
-    return ray.data.from_arrow(_star(
-        np.concatenate([b["lo"].to_numpy() for b in parts]),
-        np.concatenate([b["hi"].to_numpy() for b in parts])))
+    t = _gather(edges, ["lo", "hi"])
+    return ray.data.from_arrow(_star(t["lo"].to_numpy(), t["hi"].to_numpy()))
 
 
 def connected_components(edges: ray.data.Dataset, *, num_buckets: int = 64,
@@ -159,15 +173,31 @@ def connected_components(edges: ray.data.Dataset, *, num_buckets: int = 64,
 
 
 def assign_clusters(records: ray.data.Dataset, star_edges: ray.data.Dataset,
-                    *, num_buckets: int = 64) -> ray.data.Dataset:
-    """(row_id …) × star edges → (row_id, cluster_id); singletons label
-    themselves. One bucketed min-label shuffle — no join."""
+                    *, num_buckets: int = 64,
+                    driver_threshold: int = 5_000_000) -> ray.data.Dataset:
+    """(row_id …) × star edges → (row_id, cluster_id): one row per distinct
+    row id or star member, labelled with the minimum of itself and its
+    roots — no join. When the star and the ids each fit in
+    ``driver_threshold`` rows (0 never fits), one ``merge_bucket`` min on the
+    driver returns one typed block; else one bucketed min-label shuffle runs
+    the same kernel."""
     def self_label(batch: pa.Table) -> pa.Table:
         ids = batch["row_id"]
         return pa.table({"row_id": ids, "cluster_id": ids})
 
     def edge_label(batch: pa.Table) -> pa.Table:
         return pa.table({"row_id": batch["hi"], "cluster_id": batch["lo"]})
+
+    # the star is already computed (a driver table, materialized rounds or a
+    # checkpoint read), so its count is free
+    if driver_threshold > 0 and star_edges.count() <= driver_threshold:
+        ids = _gather(records.select_columns(["row_id"]), ["row_id"],
+                      driver_threshold)
+        if ids is not None:
+            star = _gather(star_edges, ["lo", "hi"])
+            return ray.data.from_arrow(merge_bucket(
+                pa.concat_tables([self_label(ids), edge_label(star)]),
+                ["row_id"], [("cluster_id", "cluster_id", "min")]))
 
     base = records.select_columns(["row_id"]).map_batches(
         self_label, batch_format="pyarrow")

@@ -169,15 +169,21 @@ def test_minhash_dedup_passes_the_cc_config(monkeypatch):
     from spel_ray.pipelines import linkage
     from spel_ray.stages import clustering
 
-    real = clustering.connected_components
-    seen = []
+    real_cc, real_assign = (clustering.connected_components,
+                            clustering.assign_clusters)
+    seen, assigned = [], []
 
     def spy(edges, **kw):
         seen.append(kw)
-        return real(edges, **kw)
+        return real_cc(edges, **kw)
 
-    monkeypatch.setattr(clustering, "connected_components", spy)
-    monkeypatch.setattr(linkage, "connected_components", spy)
+    def assign_spy(ids, star, **kw):
+        assigned.append(kw)
+        return real_assign(ids, star, **kw)
+
+    for mod in (clustering, linkage):
+        monkeypatch.setattr(mod, "connected_components", spy)
+        monkeypatch.setattr(mod, "assign_clusters", assign_spy)
     docs = rd.from_arrow(pa.table({
         "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
         "text": ["the quick brown fox jumps over the lazy dog again"] * 2
@@ -188,7 +194,25 @@ def test_minhash_dedup_passes_the_cc_config(monkeypatch):
         .sort_values("doc_id")
     assert seen == [{"num_buckets": 4, "max_rounds": 7,
                      "driver_threshold": 0}]
+    assert assigned == [{"num_buckets": 4,
+                         "driver_threshold": cfg.cc_driver_threshold}]
     assert out["cluster_id"].tolist() == [1, 1, 3, 4]
+
+
+def test_flagship_assigns_clusters_without_an_exchange(tiny_code_table):
+    """Below ``cc_driver_threshold`` cluster assignment runs on the driver:
+    the clusters' plan has no sort and no bucket merge. At threshold 0 the
+    shuffle runs and gives the same clusters."""
+    t = tiny_code_table.drop_columns(["ancestor_id"])
+    res = run_linkage(rd.from_arrow(t), LinkageConfig(), num_buckets=4)
+    plan = res.clusters.stats()
+    assert "Sort" not in plan and "MapBatches(merge_bucket)" not in plan
+    shuffled = run_linkage(rd.from_arrow(t),
+                           LinkageConfig(cc_driver_threshold=0),
+                           num_buckets=4)
+    plan = shuffled.clusters.stats()
+    assert "Sort" in plan and "MapBatches(merge_bucket)" in plan
+    assert _clusters(shuffled).equals(_clusters(res))
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -1,16 +1,29 @@
 """Connected-components fixtures (FIXTURES.md §5: path, star, two disjoint
-cliques, cycle → min-label convergence)."""
+cliques, cycle → min-label convergence), each assigned through both
+``assign_clusters`` branches: the driver gather and the shuffle."""
 
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data as rd
 
 from spel_ray.stages.clustering import assign_clusters, connected_components
 
-# driver_threshold=0 forces the distributed hash-to-min rounds; the default
-# exercises the driver union-find fast path
+# driver_threshold=0 forces the distributed hash-to-min rounds (and the
+# assignment shuffle); the default exercises the driver fast paths
 DIST = {"driver_threshold": 0}
 DRIVER = {}
+
+
+def _assign_both(recs, star):
+    """Sorted (row_id, cluster_id) rows of ``assign_clusters`` on its driver
+    branch, asserted equal to its shuffle's (``driver_threshold=0``)."""
+    driver, shuffle = (
+        sorted((r["row_id"], r["cluster_id"]) for r in assign_clusters(
+            recs, star, num_buckets=4, **kw).take_all())
+        for kw in (DRIVER, DIST))
+    assert driver == shuffle
+    return driver
 
 
 def _components(edge_list, nodes=None, **cc_kwargs):
@@ -18,8 +31,18 @@ def _components(edge_list, nodes=None, **cc_kwargs):
     star = connected_components(edges, num_buckets=4, **cc_kwargs)
     all_nodes = sorted({n for e in edge_list for n in e} | set(nodes or []))
     recs = rd.from_pandas(pd.DataFrame({"row_id": all_nodes}))
-    out = assign_clusters(recs, star, num_buckets=4).to_pandas()
-    return dict(zip(out["row_id"], out["cluster_id"]))
+    return dict(_assign_both(recs, star))
+
+
+def _ids(*ids):
+    return rd.from_arrow(pa.table({"row_id": pa.array(ids, pa.int64())}))
+
+
+def _star_of(edge_list, **cc_kwargs):
+    edges = rd.from_arrow(pa.table({
+        "lo": pa.array([lo for lo, _ in edge_list], pa.int64()),
+        "hi": pa.array([hi for _, hi in edge_list], pa.int64())}))
+    return connected_components(edges, num_buckets=4, **cc_kwargs)
 
 
 @pytest.mark.parametrize("kw", [DIST, DRIVER])
@@ -85,9 +108,7 @@ def test_empty_edges():
 
 def test_assign_clusters_over_no_edges_is_typed():
     """Over an empty star-edge set every record labels itself and the
-    output is (row_id int64, cluster_id int64)."""
-    import pyarrow as pa
-
+    output is (row_id int64, cluster_id int64), over no records too."""
     edges = rd.from_pandas(pd.DataFrame({"lo": pd.Series(dtype="int64"),
                                          "hi": pd.Series(dtype="int64")}))
     star = connected_components(edges, num_buckets=4)
@@ -98,3 +119,39 @@ def test_assign_clusters_over_no_edges_is_typed():
                                                ("cluster_id", pa.int64())]
     assert sorted((r["row_id"], r["cluster_id"]) for r in out.take_all()) \
         == [(5, 5), (6, 6)]
+    assert _assign_both(_ids(), star) == []
+    sch = assign_clusters(_ids(), star, num_buckets=8).schema()
+    assert list(zip(sch.names, sch.types)) == [("row_id", pa.int64()),
+                                               ("cluster_id", pa.int64())]
+
+
+@pytest.mark.parametrize("ids, edge_list, cc_kwargs, want", [
+    # a repeated row id (a repeated key, a delta re-sending a base row)
+    ((1, 2, 2, 3, 3), [(1, 2)], DRIVER, [(1, 1), (2, 1), (3, 3)]),
+    # a star member gets a row without a record; a root only through its id
+    ((1, 5), [(1, 2)], DRIVER, [(1, 1), (2, 1), (5, 5)]),
+    ((), [(1, 2)], DRIVER, [(2, 1)]),
+    # the distributed rounds repeat a star edge once per bucket holding an
+    # endpoint
+    ((1, 2, 3, 4), [(1, 2), (3, 4)], DIST, [(1, 1), (2, 1), (3, 3), (4, 3)]),
+], ids=["repeated-id", "member-not-in-records", "no-records",
+        "distributed-star"])
+def test_assign_emits_one_row_per_id_or_member(ids, edge_list, cc_kwargs,
+                                               want):
+    assert _assign_both(_ids(*ids), _star_of(edge_list, **cc_kwargs)) == want
+
+
+def _plan(ds) -> str:
+    return ds.materialize().stats()
+
+
+def test_assign_runs_no_exchange_below_the_threshold():
+    recs, star = _ids(1, 2, 3, 4, 5), _star_of([(1, 2), (2, 3)])
+    plan = _plan(assign_clusters(recs, star, num_buckets=4))
+    assert "Sort" not in plan and "merge_bucket" not in plan
+    # more ids than the bound: the bounded id stream stops and the shuffle
+    # runs, with the same rows
+    over = assign_clusters(recs, star, num_buckets=4, driver_threshold=3)
+    assert "Sort" in _plan(over)
+    assert sorted((r["row_id"], r["cluster_id"]) for r in over.take_all()) \
+        == _assign_both(recs, star) == [(1, 1), (2, 1), (3, 1), (4, 4), (5, 5)]
