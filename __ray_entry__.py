@@ -341,7 +341,7 @@ def _docs_code_base_sql() -> str:
     doc_id := the engine's row_id (big-endian first 8 bytes of
     sha256('{source}\\x00doc{id}.txt\\x00{id}'), top bit cleared) and a
     per-lang blake2b exact-key salt — mirrors
-    ``sources.code_table.documents_as_code_table`` + ``_row_ids_np``."""
+    ``sources.code_table.documents_as_code_table`` + ``_row_ids``."""
     cases = " ".join(f"WHEN '{lang}' THEN {_blake_salt(lang)}::HUGEINT"
                      for lang in _doc_langs())
     return f"""

@@ -36,6 +36,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from spel_ray.config import LinkageConfig
 from spel_ray.stages.blocking import block_keys, elect_band_carriers
@@ -63,10 +64,14 @@ class LinkageResult:
 def pin_at(*names: str):
     """Runner that materializes the named stages — the points where a result
     has several consumers and must run exactly once — and leaves the rest
-    lazy."""
+    lazy. A stage that already returns a ``MaterializedDataset`` (e.g.
+    ``assign_clusters``' driver branch) is kept as is: ``materialize()``
+    would run its plan again."""
     def run(name: str, fn) -> ray.data.Dataset:
         ds = fn()
-        return ds.materialize() if name in names else ds
+        if name not in names or isinstance(ds, MaterializedDataset):
+            return ds
+        return ds.materialize()
     return run
 
 

@@ -22,13 +22,30 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from spel_ray.stages.minhash import _bytes_and_offsets
+
 
 def _norm_ws(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     """Collapse whitespace runs to single spaces and trim — shingling view
-    only; sha256 is always over the raw content."""
-    return pc.utf8_trim_whitespace(
-        pc.replace_substring_regex(col, pattern=r"\s+", replacement=" ")
-    )
+    only; sha256 is always over the raw content.
+
+    The whitespace set is RE2's ``\\s`` (``[\\t\\n\\f\\r ]``): the
+    definition is ``utf8_trim_whitespace(replace_substring_regex(col,
+    r"\\s+", " "))``. The fast form splits on ASCII whitespace and joins
+    with one space, which is the same on every row except those holding
+    ``\\v`` (in Arrow's ASCII set, not in RE2's ``\\s``), so only those
+    rows run the regex. Nulls stay null."""
+    fast = pc.utf8_trim_whitespace(
+        pc.binary_join(pc.ascii_split_whitespace(col),
+                       pa.scalar(" ", col.type)))
+    has_vt = pc.fill_null(pc.match_substring(col, "\v"), False)
+    if not pc.any(has_vt).as_py():
+        return fast
+    if isinstance(col, pa.ChunkedArray):
+        col, fast, has_vt = (c.combine_chunks() for c in (col, fast, has_vt))
+    slow = pc.utf8_trim_whitespace(pc.replace_substring_regex(
+        col.filter(has_vt), pattern=r"\s+", replacement=" "))
+    return pc.replace_with_mask(fast, has_vt, slow)
 
 
 # Per-lang comment syntax for the normalizer (the engine analog of the
@@ -102,23 +119,46 @@ def strip_code_comments(content: pa.ChunkedArray | pa.Array,
     return cat.take(pa.array(inv))
 
 
-def _row_ids_np(repo: list, path: list, commit: list) -> np.ndarray:
+def _sha256_digests(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """(n, 32) uint8 sha256 digests of a string column, null read as ``""``
+    — THE sha256 loop over row bytes: hashlib over memoryview slices of the
+    Arrow data buffer, no per-row Python strings."""
+    data, offs = _bytes_and_offsets(col.fill_null(""))
+    mv = memoryview(data)
+    digests = b"".join([hashlib.sha256(mv[a:b]).digest() for a, b in
+                        zip(offs[:-1].tolist(), offs[1:].tolist())])
+    return np.frombuffer(digests, np.uint8).reshape(-1, 32)
+
+
+def _sha256_hex(col: pa.ChunkedArray | pa.Array) -> pa.Array:
+    """Lowercase hex sha256 of each row (null read as ``""``) as a string
+    column — ``hashlib.sha256(text.encode()).hexdigest()`` per row."""
+    digests = _sha256_digests(col)
+    n = len(digests)
+    return pa.StringArray.from_buffers(
+        n, pa.py_buffer(np.arange(0, 64 * n + 1, 64, dtype=np.int32)),
+        pa.py_buffer(digests.tobytes().hex().encode()))
+
+
+def _row_ids(repo, path, commit) -> np.ndarray:
     """THE row-id derivation (one definition — pair generation and cluster
-    assignment must agree or every record silently becomes a singleton)."""
-    row_ids = np.empty(len(repo), dtype=np.int64)
-    for i, (r, p, c) in enumerate(zip(repo, path, commit)):
-        key = f"{r}\x00{p}\x00{c}".encode()
-        row_ids[i] = int.from_bytes(
-            hashlib.sha256(key).digest()[:8], "big") & 0x7FFFFFFFFFFFFFFF
-    return row_ids
+    assignment must agree or every record silently becomes a singleton):
+    int63 of the big-endian first 8 bytes of
+    ``sha256(f"{repo}\\x00{path}\\x00{commit}")``. A null part reads as
+    ``"None"``, as the f-string renders it."""
+    key = pc.binary_join_element_wise(
+        *(pc.cast(c, pa.large_string()) for c in (repo, path, commit)),
+        pa.scalar("\x00", pa.large_string()), null_handling="replace",
+        null_replacement="None")
+    first8 = np.ascontiguousarray(_sha256_digests(key)[:, :8])
+    return (first8.view(">u8").ravel() & np.uint64(0x7FFFFFFFFFFFFFFF)
+            ).astype(np.int64)
 
 
 def row_id_batch(batch: pa.Table) -> pa.Table:
     """(repo, path, commit) → row_id only — the slim id pass for consumers
     (cluster assignment) that never need content, sha, or normalization."""
-    row_ids = _row_ids_np(batch["repo"].to_pylist(),
-                          batch["path"].to_pylist(),
-                          batch["commit"].to_pylist())
+    row_ids = _row_ids(batch["repo"], batch["path"], batch["commit"])
     return pa.table({"row_id": pa.array(row_ids, pa.int64())})
 
 
@@ -136,19 +176,17 @@ def fingerprint_batch(batch: pa.Table, *, strip_comments: bool = True) -> pa.Tab
 
     ``norm_content`` (the shingling view) is comment-stripped per lang when
     ``strip_comments`` — sha256 and n_chars stay over the RAW content (the
-    per-row invariant is untouched); null content counts as ``""``."""
-    content = batch["content"].to_pylist()
-    row_ids = _row_ids_np(batch["repo"].to_pylist(),
-                          batch["path"].to_pylist(),
-                          batch["commit"].to_pylist())
-    shas = [hashlib.sha256((body or "").encode()).hexdigest()
-            for body in content]
+    per-row invariant is untouched); null content counts as ``""``.
+    ``row_id`` reads a null repo, path or commit as ``"None"``
+    (:func:`_row_ids`). Both sha256 passes hash the Arrow buffers
+    directly."""
+    row_ids = _row_ids(batch["repo"], batch["path"], batch["commit"])
 
     view = batch["content"]
     if strip_comments and "lang" in batch.column_names:
         view = strip_code_comments(view, batch["lang"])
     out = batch.append_column("row_id", pa.array(row_ids, pa.int64()))
-    out = out.append_column("content_sha256", pa.array(shas, pa.string()))
+    out = out.append_column("content_sha256", _sha256_hex(batch["content"]))
     out = out.append_column("norm_content", _norm_ws(view))
     out = out.append_column("n_chars", pc.cast(
         pc.utf8_length(batch["content"]), pa.int64()).fill_null(0))
@@ -166,12 +204,10 @@ def text_record_batch(batch: pa.Table, text_col: str, id_col: str,
     every row is tagged ``lang``; sha256 and n_chars are over the raw
     text, a null text counting as ``""``."""
     texts = batch[text_col]
-    shas = [hashlib.sha256((t or "").encode()).hexdigest()
-            for t in texts.to_pylist()]
     return pa.table({
         "row_id": batch[id_col],
         "lang": pa.array([lang] * batch.num_rows, pa.string()),
-        "content_sha256": pa.array(shas, pa.string()),
+        "content_sha256": _sha256_hex(texts),
         "norm_content": _norm_ws(texts),
         "n_chars": pc.cast(pc.utf8_length(texts), pa.int64()).fill_null(0),
     })

@@ -22,16 +22,18 @@ straight from its buffers: each distinct text once (dictionary-encode, then
 gather back by index), one rolling hash over the concatenated bytes of a
 chunk of rows, and per permutation one pass over every window of the chunk
 followed by a segmented min (``np.minimum.reduceat`` at the row starts).
-The Python loops run over permutations and chunks, not rows; only token
-extraction (``re.findall``) stays per distinct text. The per-text methods
-(``signature``, ``token_signature``, ``shingle_hashes``) are views of the
-same kernel.
+Tokens come from one byte-class scan over every distinct text
+(:func:`_token_spans`, equal to ``re.findall`` row by row) and one
+``dictionary_encode`` over the scanned bytes, so md5 runs once per distinct
+token. No Python loop runs per row: the loops run over permutations and
+chunks, plus one ``hashlib.md5`` call per distinct token. The per-text
+methods (``signature``, ``token_signature``, ``shingle_hashes``) are views
+of the same kernel.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import chain
 
 import numpy as np
 import pyarrow as pa
@@ -48,10 +50,16 @@ _EMPTY_SENTINEL = np.uint64(0x9E3779B97F4A7C15)
 _CHUNK_WINDOWS = 1 << 16
 
 
-def _bytes_and_offsets(col: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """(uint8 data, int64 offsets) of a null-free string array: row i is
-    ``data[offsets[i]:offsets[i + 1]]``."""
-    large = pa.types.is_large_string(col.type)
+def _bytes_and_offsets(col: pa.Array | pa.ChunkedArray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(uint8 data, int64 offsets) of a null-free string or binary column:
+    row i is ``data[offsets[i]:offsets[i + 1]]``."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if len(col) == 0:
+        return np.zeros(0, np.uint8), np.zeros(1, np.int64)
+    large = pa.types.is_large_string(col.type) or \
+        pa.types.is_large_binary(col.type)
     offs = np.frombuffer(col.buffers()[1], np.int64 if large else np.int32)
     offs = offs[col.offset: col.offset + len(col) + 1].astype(np.int64)
     buf = col.buffers()[2]
@@ -66,17 +74,78 @@ def _text_bytes(text: str) -> tuple[np.ndarray, np.ndarray]:
     return b, np.array([0, len(b)], np.int64)
 
 
-def _token_vocab(toks: list, vocab: dict) -> np.ndarray:
-    """uint64 hash of each token: the little-endian first 8 bytes of its md5,
-    bit-identical to DuckDB's ``md5_number_upper`` (the same cross-engine
-    oracle-able scheme as the SimHash word hash and the shingle
-    fingerprints). md5 was 27-30% of the per-row sketch, so it runs once per
-    distinct token of the batch: ``vocab`` lives for one kernel call. The
-    ``None`` marker of a row without tokens hashes to ``_EMPTY_SENTINEL``."""
-    for t in set(toks).difference(vocab):
-        vocab[t] = int(_EMPTY_SENTINEL) if t is None else \
-            int.from_bytes(hashlib.md5(t).digest()[:8], "little")
-    return np.fromiter(map(vocab.__getitem__, toks), np.uint64, len(toks))
+def _run_bounds(cls: np.ndarray, row_start: np.ndarray):
+    """(starts, ends) of the maximal runs of True in the bool array ``cls``
+    that stay inside one row (``row_start[i]``: a row starts at byte i)."""
+    n = len(cls)
+    cut = row_start.copy()
+    cut[1:n] |= ~cls[:-1]
+    start = np.flatnonzero(cls & cut[:n])
+    cut = row_start[1:].copy()
+    cut[:n - 1] |= ~cls[1:]
+    return start, np.flatnonzero(cls & cut) + 1
+
+
+def _token_spans(data: np.ndarray, offs: np.ndarray):
+    """(start, end) byte positions, in order, of the matches of
+    ``[A-Za-z_][A-Za-z_0-9]*|\\d+`` (over bytes, so ``\\d`` is ASCII) in the
+    rows ``data[offs[i]:offs[i + 1]]`` — ``re.findall`` over every row in
+    one vectorized scan. A maximal ``[A-Za-z_0-9]`` run inside a row yields
+    its leading digit run, if it starts with a digit, and then the rest of
+    the run; every other byte (non-ASCII and NUL included) and every row
+    boundary separates tokens."""
+    lo, hi = int(offs[0]), int(offs[-1])
+    b = data[lo:hi]
+    digit = (b - np.uint8(ord("0"))) < 10
+    word = digit | ((b | np.uint8(0x20)) - np.uint8(ord("a")) < 26) | \
+        (b == ord("_"))
+    row_start = np.zeros(len(b) + 1, bool)
+    row_start[offs - lo] = True
+    start, end = _run_bounds(word, row_start)
+    # a word run that starts with a digit also starts a digit run: its
+    # leading digits end where that digit run ends
+    lead = digit[start]
+    digit_end = _run_bounds(digit, row_start)[1]
+    mid = end.copy()
+    mid[lead] = digit_end[np.searchsorted(digit_end, start[lead],
+                                          side="right")]
+    split = mid < end
+    per_run = 1 + split
+    first = np.cumsum(per_run) - per_run
+    ts = np.empty(len(start) + int(split.sum()), np.int64)
+    te = np.empty_like(ts)
+    ts[first], te[first] = start, mid
+    ts[first[split] + 1], te[first[split] + 1] = mid[split], end[split]
+    return ts + lo, te + lo
+
+
+def _token_vocab(data: np.ndarray, ts: np.ndarray,
+                 te: np.ndarray) -> np.ndarray:
+    """uint64 hash of each token ``data[ts[j]:te[j]]``: the little-endian
+    first 8 bytes of its md5, bit-identical to DuckDB's
+    ``md5_number_upper`` (the same cross-engine oracle-able scheme as the
+    SimHash word hash and the shingle fingerprints). md5 runs once per
+    distinct token: one ``dictionary_encode`` of a binary array laid over
+    ``data`` itself with offsets token, gap, token, … (no byte is copied)
+    names them, and its even codes gather the hashes back."""
+    if len(ts) == 0:
+        return np.zeros(0, np.uint64)
+    bounds = np.empty(2 * len(ts), np.int64)
+    bounds[0::2], bounds[1::2] = ts, te
+    enc = pa.Array.from_buffers(
+        pa.large_binary(), len(bounds) - 1,
+        [None, pa.py_buffer(bounds), pa.py_buffer(data)]).dictionary_encode()
+    codes = np.asarray(enc.indices)[0::2]
+    used = np.zeros(len(enc.dictionary), bool)
+    used[codes] = True
+    used = np.flatnonzero(used)
+    words, offs = _bytes_and_offsets(enc.dictionary.take(used))
+    mv = memoryview(words)
+    digests = b"".join([hashlib.md5(mv[a:b]).digest() for a, b in
+                        zip(offs[:-1].tolist(), offs[1:].tolist())])
+    vocab = np.empty(len(enc.dictionary), np.uint64)
+    vocab[used] = np.frombuffer(digests, "<u8")[0::2]
+    return vocab[codes]
 
 
 def _segment_min(x: np.ndarray, starts: np.ndarray, A: np.ndarray,
@@ -98,8 +167,6 @@ class MinHasher:
     process), applied per batch. Usable directly as a map_batches callable."""
 
     def __init__(self, cfg: LinkageConfig):
-        import re
-
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
         # odd multipliers for the universal hash family
@@ -115,7 +182,6 @@ class MinHasher:
         self.band_pows = np.power(np.uint64(1099511628211),
                                   np.arange(cfg.rows_per_band, dtype=np.uint64),
                                   dtype=np.uint64)
-        self.token_re = re.compile(rb"[A-Za-z_][A-Za-z_0-9]*|\d+")
 
     def _shingles(self, data: np.ndarray, offs: np.ndarray):
         """(window hashes, row starts) of the char-k shingles of the rows
@@ -146,29 +212,35 @@ class MinHasher:
         keep[(row_starts[1:, None] - k + 1 + np.arange(k - 1)).ravel()] = False
         return h[keep], row_starts - np.arange(len(lens)) * (k - 1)
 
-    def _tokens(self, data: np.ndarray, offs: np.ndarray, vocab: dict):
-        """(token hashes, row starts) of each row's distinct
-        identifier/number tokens — the engine's word-level view (≙ the
+    def _tokens(self, data: np.ndarray, offs: np.ndarray):
+        """(token hashes, row starts) of each row's identifier/number tokens
+        (``[A-Za-z_][A-Za-z_0-9]*|\\d+`` over its bytes; every row in one
+        scan, :func:`_token_spans`) — the engine's word-level view (≙ the
         reference's word granularity above subwords,
-        ``span_annotation.py:66-121``). A row without tokens gets the one
-        hash ``_EMPTY_SENTINEL``."""
-        mv = memoryview(data)
-        toks = [set(self.token_re.findall(mv[a:b])) or (None,)
-                for a, b in zip(offs[:-1].tolist(), offs[1:].tolist())]
-        counts = np.fromiter(map(len, toks), np.int64, len(toks))
-        h = _token_vocab(list(chain.from_iterable(toks)), vocab)
-        return h, np.cumsum(counts) - counts
+        ``span_annotation.py:66-121``). Tokens are not deduplicated per row:
+        the min over a multiset equals the min over its set. A row without
+        tokens gets the one hash ``_EMPTY_SENTINEL``."""
+        ts, te = _token_spans(data, offs)
+        counts = np.bincount(np.searchsorted(offs, ts, side="right") - 1,
+                             minlength=len(offs) - 1)
+        first = np.cumsum(counts) - counts
+        h = np.insert(_token_vocab(data, ts, te), first[counts == 0],
+                      _EMPTY_SENTINEL)
+        slots = np.maximum(counts, 1)
+        return h, np.cumsum(slots) - slots
 
     def _sketch(self, data: np.ndarray, offs: np.ndarray):
         """(rows, num_perm) and (rows, num_perm_tok) uint64 minima of the
         rows ``data[offs[i]:offs[i + 1]]``, in chunks of at most
-        ``_CHUNK_WINDOWS`` shingle windows."""
+        ``_CHUNK_WINDOWS`` shingle windows. The tokens of all rows are found
+        and hashed once, then cut at the same chunk bounds."""
         cfg, k = self.cfg, self.cfg.shingle_k
         m = len(offs) - 1
         sig = np.empty((m, cfg.num_perm), np.uint64)
         tok = np.empty((m, cfg.num_perm_tok), np.uint64)
         ends = np.cumsum(np.maximum(np.diff(offs), k) - k + 1)
-        vocab: dict = {}
+        th, tstarts = self._tokens(data, offs)
+        tstarts = np.append(tstarts, len(th))
         r0 = 0
         while r0 < m:
             done = ends[r0 - 1] if r0 else 0
@@ -177,7 +249,8 @@ class MinHasher:
             chunk = offs[r0:r1 + 1]
             sig[r0:r1] = _segment_min(*self._shingles(data, chunk),
                                       self.A, self.B)
-            tok[r0:r1] = _segment_min(*self._tokens(data, chunk, vocab),
+            t0 = tstarts[r0]
+            tok[r0:r1] = _segment_min(th[t0:tstarts[r1]], tstarts[r0:r1] - t0,
                                       self.At, self.Bt)
             r0 = r1
         return sig, tok

@@ -14,7 +14,7 @@ import ray.data as rd
 from spel_ray.config import LinkageConfig
 from spel_ray.functions.dedup import minhash_dedup
 from spel_ray.pipelines.incremental import incremental_link
-from spel_ray.pipelines.linkage import linkage_stats, run_linkage
+from spel_ray.pipelines.linkage import linkage_stats, pin_at, run_linkage
 from spel_ray.pipelines.sharded import (parquet_files, run_linkage_sharded,
                                        sharded_block_rows)
 from spel_ray.sources.synth import generate_code_table
@@ -213,6 +213,36 @@ def test_flagship_assigns_clusters_without_an_exchange(tiny_code_table):
     plan = shuffled.clusters.stats()
     assert "Sort" in plan and "MapBatches(merge_bucket)" in plan
     assert _clusters(shuffled).equals(_clusters(res))
+
+
+def test_pin_at_materializes_each_lazy_pin_once(monkeypatch,
+                                                tiny_code_table):
+    """A pinned stage is materialized once, and not at all when it already
+    returned a ``MaterializedDataset`` (Ray would run its plan again): on
+    the default flagship the clusters stage, ``assign_clusters``' driver
+    branch, is such a dataset."""
+    calls = []
+    real = rd.Dataset.materialize
+
+    def counting(self):
+        calls.append(type(self).__name__)
+        return real(self)
+
+    monkeypatch.setattr(rd.Dataset, "materialize", counting)
+    run = pin_at("done", "lazy")
+    done = rd.from_arrow(pa.table({"x": [1, 2]}))
+    lazy = rd.range(3)
+    assert run("done", lambda: done) is done
+    assert run("free", lambda: lazy) is lazy
+    assert run("lazy", lambda: lazy).count() == 3
+    assert calls == ["Dataset"]
+
+    calls.clear()
+    t = tiny_code_table.drop_columns(["ancestor_id"])
+    res = run_linkage(rd.from_arrow(t), LinkageConfig(use_verifier=False),
+                      num_buckets=4)
+    assert calls and "MaterializedDataset" not in calls
+    assert res.clusters.count() == t.num_rows
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -3,16 +3,20 @@ known shared shingles; band collisions for the near-duplicates only), and
 the batch sketch kernel against pinned digests and the per-row model."""
 
 import hashlib
+import re
 
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spel_ray.config import LinkageConfig
 from spel_ray.sources.synth import generate_code_table
 from spel_ray.stages import minhash
 from spel_ray.stages.fingerprint import fingerprint_batch
 from spel_ray.stages.minhash import (_EMPTY_SENTINEL, MinHasher,
+                                     _bytes_and_offsets, _token_spans,
                                      fixed_binary_view, sig_dtype)
 
 CFG = LinkageConfig()
@@ -100,6 +104,12 @@ def test_signature_bytes_pinned(fixture_2k, sig_bytes):
     assert got == PINNED[sig_bytes]
 
 
+# The token rule the per-row sketch ran through ``re.findall``; the batch
+# kernel scans byte classes instead (``_token_spans``), so the reference
+# model keeps its own copy of the regex.
+TOKEN_RE = re.compile(rb"[A-Za-z_][A-Za-z_0-9]*|\d+")
+
+
 class RowSketch:
     """The per-row sketch the batch kernel replaced, kept verbatim as the
     reference model. Shares the permutation tables of a MinHasher."""
@@ -107,7 +117,7 @@ class RowSketch:
     def __init__(self, mh: MinHasher):
         self.cfg, self.A, self.B = mh.cfg, mh.A, mh.B
         self.At, self.Bt = mh.At, mh.Bt
-        self.powers, self.token_re = mh.powers, mh.token_re
+        self.powers, self.token_re = mh.powers, TOKEN_RE
 
     def shingle_hashes(self, text: str) -> np.ndarray:
         """Unique uint64 hashes of the char-k shingles of ``text``."""
@@ -155,6 +165,7 @@ EDGE_TEXTS = [
     "abcdefg", "", None,                                   # duplicates
     "!@#$%^&*()[]{};:'\",.<>/?\\|`~-=+ \t\n",                # punctuation
     "é", "日本", "12 345 0x1f _a a_ 9lives",
+    "\v", "a\vb  c",                                       # \v: not RE2's \s
 ]
 
 
@@ -211,3 +222,54 @@ def test_sketch_invariant_to_batch_boundaries(fixture_2k, rows_per_call):
                             for i in range(0, t.num_rows, rows_per_call)])
     assert got["sig"].equals(want["sig"])
     assert got["sig_tok"].equals(want["sig_tok"])
+
+
+# --- the token scan against re.findall ------------------------------------
+
+_TOKEN_BYTES = st.lists(st.one_of(
+    st.binary(max_size=6),                                  # any byte
+    st.sampled_from([b"9lives", b"0x1f", b"int32_t", b"_", b"x9", b"007",
+                     b"12ab34", b" ", b"\x00", b"\xc3\xa9", b"\xff"])),
+    max_size=12).map(b"".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TOKEN_BYTES, max_size=8), st.binary(max_size=3))
+def test_token_spans_match_findall(rows, pad):
+    """One scan over a chunk's bytes finds each row's ``re.findall``
+    tokens: random bytes with non-ASCII and NUL, digit-then-identifier
+    runs, tokens that touch a row boundary, empty and separator-only
+    rows, and rows that start past the buffer's first byte."""
+    data = np.frombuffer(pad + b"".join(rows), np.uint8)
+    offs = np.cumsum([len(pad)] + [len(r) for r in rows]).astype(np.int64)
+    ts, te = _token_spans(data, offs)
+    got = [bytes(data[a:b]) for a, b in zip(ts, te)]
+    assert got == [t for r in rows for t in TOKEN_RE.findall(r)]
+    rows_of = np.searchsorted(offs, ts, side="right") - 1
+    assert [int((rows_of == i).sum()) for i in range(len(rows))] == \
+        [len(TOKEN_RE.findall(r)) for r in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.text(max_size=30), _TOKEN_BYTES.map(
+    lambda b: b.decode("utf-8", errors="ignore"))), max_size=10))
+def test_token_minima_match_row_sketch(texts):
+    """The token signatures of a batch equal the per-row model's
+    (``set(findall)`` then md5 per token, ``_EMPTY_SENTINEL`` when none)."""
+    mh = MinHasher(CFG)
+    ref = RowSketch(mh)
+    _, tok = mh.minima(pa.array(texts, pa.string()))
+    want = np.stack([ref.token_signature(t or "") for t in texts]) \
+        if texts else np.zeros((0, CFG.num_perm_tok), np.uint64)
+    assert (tok == want).all()
+
+
+def test_bytes_and_offsets_reads_any_layout():
+    want = [b"ab", b"", b"c\x00d"]
+    for col in (pa.array(want, pa.binary()),
+                pa.array([b"pad"] + want, pa.large_binary()).slice(1),
+                pa.chunked_array([want[:1], want[1:]], pa.binary())):
+        data, offs = _bytes_and_offsets(col)
+        assert [bytes(data[a:b]) for a, b in zip(offs[:-1], offs[1:])] == want
+    data, offs = _bytes_and_offsets(pa.chunked_array([], pa.string()))
+    assert len(data) == 0 and offs.tolist() == [0]
