@@ -8,13 +8,16 @@ source-code tables, built Ray-Data-first:
 - ``ray.data.read_parquet`` streams Arrow blocks (zero-copy batches),
 - ``map_batches(batch_format="pyarrow")`` computes fingerprints, MinHash-LSH
   band keys and ``(lang, sha256-prefix)`` exact blocking keys,
-- a salted ``groupby(block_key)`` shuffle colocates candidate pairs with
-  explicit skew capping of hot keys,
+- pair-gen is one unsalted ``bucketed_groupby`` on the block key (the
+  engine's one hash exchange, ``state/shuffle.py``); a hot block emits a
+  sorted-id chain flagged ``capped`` instead of all its pairs, and one
+  bucketed aggregate merges a pair met in several blocks,
 - a vectorized scorer (plus an actor-pool verifier for borderline pairs)
   scores candidate edges,
-- transitive clustering runs alternating large-star / small-star rounds
-  (Kiveris et al., "Connected Components in MapReduce and Beyond", 2014)
-  until fixpoint — pure ``groupby`` over edge lists, no joins.
+- transitive clustering is hash-to-min connected components: each round is
+  one bucketed shuffle whose buckets each contract their subgraph with a
+  local union-find, and an edge set below ``cc_driver_threshold`` runs one
+  union-find on the driver instead (``stages/clustering.py``).
 
 Everything here derives from public knowledge only (Ray / Arrow docs, the
 public reference repo, published papers).

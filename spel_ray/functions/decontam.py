@@ -41,6 +41,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from spel_ray.state.shuffle import collect
+
 TOKEN_RE = re.compile(r"\S+")
 
 _B = np.uint64(1099511628211)           # FNV-1a prime, 64-bit wraparound
@@ -99,10 +101,9 @@ def benchmark_ngram_hashes(benchmark: ray.data.Dataset, *, n: int = 13,
         _, h = _batch_ngram_hashes(batch[text_col].to_pandas(), n)
         return pa.table({"h": pa.array(np.unique(h), pa.uint64())})
 
-    parts = benchmark.map_batches(f, batch_format="pyarrow").to_pandas()
-    if "h" not in parts.columns:    # empty Dataset loses its schema
-        return np.zeros(0, np.uint64)
-    return np.unique(parts["h"].to_numpy(np.uint64))
+    parts = collect(benchmark.map_batches(f, batch_format="pyarrow"),
+                    pa.schema([("h", pa.uint64())]))
+    return np.unique(parts["h"].to_numpy())
 
 
 def decontaminate(docs: ray.data.Dataset, benchmark: ray.data.Dataset, *,

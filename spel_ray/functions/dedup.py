@@ -38,7 +38,7 @@ from spel_ray.functions.similarity import embeddings, hyperplane_keys
 from spel_ray.stages.minhash import fixed_binary_view
 from spel_ray.stages.pairs import block_pairs, bucket_pairs, merge_pairs
 from spel_ray.state.shuffle import (bucketed_groupby, bucketed_topk,
-                                    with_schema)
+                                    collect, row_numbers, with_schema)
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -327,6 +327,12 @@ def _key_surrogates(keys: pa.Array | pa.ChunkedArray) -> np.ndarray:
     return (sur - np.uint64(1 << 63)).view(np.int64)
 
 
+_SNM_PAIRS = pa.schema([("id_lo", pa.int64()), ("id_hi", pa.int64()),
+                        ("dist", pa.int64())])
+_SNM_FRINGE = pa.schema([("id_lo", pa.int64()), ("_range", pa.int64()),
+                         ("pos", pa.int64()), ("range_n", pa.int64())])
+
+
 def sorted_neighborhood_pairs(ds: ray.data.Dataset, *, window: int = 5,
                               key_len: int = 32, num_buckets: int = 16,
                               id_col: str = "doc_id",
@@ -340,21 +346,25 @@ def sorted_neighborhood_pairs(ds: ray.data.Dataset, *, window: int = 5,
     Distributed shape (exact, no global-sort operator needed):
     1. slim (id, key, surrogate) projection; order-preserving int64
        surrogates make range partitioning a numeric ``searchsorted``;
-    2. range boundaries from a per-batch sample (boundaries only balance
-       load — the OUTPUT is invariant to the partitioning);
-    3. one shuffle groups each contiguous key range; every bucket sorts
-       locally by (key, id) and emits its within-bucket window pairs
-       vectorized (window shifted-slice pairs, no Python loop over rows);
-    4. rows within ``window`` of a bucket edge (the only rows that can
-       pair across buckets — interior rows are > window ranks from any
-       neighbor bucket) come back as a fringe of O(buckets × 2·window)
-       slim rows; the driver assembles their global ranks from per-bucket
-       offsets and emits the cross-bucket pairs.
+    2. up to ``num_buckets`` contiguous key ranges, bounded from a
+       per-batch sample (the bounds only balance load — the OUTPUT is
+       invariant to the partitioning);
+    3. one ``bucketed_groupby`` on the range id: a hash bucket may hold
+       several ranges, so each bucket ranks its rows per range by (key, id)
+       (``row_numbers``) and emits the window pairs inside each range
+       vectorized (a pair at distance d is inside one range exactly when
+       ``rank[p + d] == rank[p] + d``);
+    4. rows within ``window`` of a range edge (the only rows that can pair
+       across ranges — interior rows are > window ranks from any neighbor
+       range) come back as a fringe of O(ranges × 2·window) slim rows
+       carrying their range; the driver assembles their global ranks from
+       per-range offsets and emits the cross-range pairs.
     """
+    import pyarrow.compute as pc
+
     from spel_ray.stages.fingerprint import _norm_ws
 
     def keys_batch(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         key = pc.utf8_slice_codeunits(
             _norm_ws(pc.coalesce(batch[text_col], "")), 0, key_len)
         return pa.table({
@@ -374,101 +384,78 @@ def sorted_neighborhood_pairs(ds: ray.data.Dataset, *, window: int = 5,
         step = max(1, len(s) // 64)
         return pa.table({"sur": pa.array(s[::step], pa.int64())})
 
-    samp_df = slim.map_batches(sample, batch_format="pyarrow").to_pandas()
-    # an empty Dataset loses its schema — treat a column-less frame as empty
-    samp = np.sort(samp_df["sur"].to_numpy(np.int64)) \
-        if "sur" in samp_df.columns else np.zeros(0, np.int64)
+    samp = np.sort(collect(slim.map_batches(sample, batch_format="pyarrow"),
+                           pa.schema([("sur", pa.int64())]))["sur"]
+                   .to_numpy())
     if len(samp) == 0:
-        return ray.data.from_arrow(pa.table({
-            "id_lo": pa.array([], pa.int64()),
-            "id_hi": pa.array([], pa.int64()),
-            "dist": pa.array([], pa.int64())}))
+        return ray.data.from_arrow(_SNM_PAIRS.empty_table())
     qpos = (np.arange(1, num_buckets) * len(samp)) // num_buckets
     bounds = np.unique(samp[qpos])
 
     def assign(batch: pa.Table) -> pa.Table:
-        b = np.searchsorted(bounds, np.asarray(batch["sur"], np.int64),
+        r = np.searchsorted(bounds, np.asarray(batch["sur"], np.int64),
                             side="right")
-        return batch.append_column("_bucket", pa.array(b, pa.int64()))
+        return pa.table({"id": batch["id"], "key": batch["key"],
+                         "_range": pa.array(r, pa.int64())})
 
     def window_pairs(t: pa.Table) -> pa.Table:
-        bucket = int(t["_bucket"][0].as_py())
-        df = pa.table({"id": t["id"], "key": t["key"]}).to_pandas()
-        df = df.sort_values(["key", "id"], kind="mergesort")
-        ids = df["id"].to_numpy(np.int64)
-        n = len(ids)
-        lo_parts, hi_parts, d_parts = [], [], []
-        for d in range(1, min(window, n - 1) + 1 if n > 1 else 1):
-            a, b = ids[:-d], ids[d:]
-            lo_parts.append(np.minimum(a, b))
-            hi_parts.append(np.maximum(a, b))
-            d_parts.append(np.full(n - d, d, np.int64))
-        lo = np.concatenate(lo_parts) if lo_parts else np.zeros(0, np.int64)
-        hi = np.concatenate(hi_parts) if hi_parts else np.zeros(0, np.int64)
-        dd = np.concatenate(d_parts) if d_parts else np.zeros(0, np.int64)
-        pairs = pa.table({
-            "kind": pa.array(np.zeros(len(lo), np.int64), pa.int64()),
-            "id_lo": pa.array(lo, pa.int64()),
-            "id_hi": pa.array(hi, pa.int64()),
-            "dist": pa.array(dd, pa.int64()),
-            "bucket": pa.array(np.full(len(lo), bucket), pa.int64()),
-            "pos": pa.array(np.zeros(len(lo), np.int64), pa.int64()),
-            "bucket_n": pa.array(np.zeros(len(lo), np.int64), pa.int64()),
-        })
-        fr = np.unique(np.r_[np.arange(min(window, n)),
-                             np.arange(max(n - window, 0), n)])
-        fringe = pa.table({
-            "kind": pa.array(np.ones(len(fr), np.int64), pa.int64()),
-            "id_lo": pa.array(ids[fr], pa.int64()),
-            "id_hi": pa.array(np.zeros(len(fr), np.int64), pa.int64()),
-            "dist": pa.array(np.zeros(len(fr), np.int64), pa.int64()),
-            "bucket": pa.array(np.full(len(fr), bucket), pa.int64()),
-            "pos": pa.array(fr, pa.int64()),
-            "bucket_n": pa.array(np.full(len(fr), n), pa.int64()),
-        })
-        return pa.concat_tables([pairs, fringe])
+        idx, rank = row_numbers(t, ["_range"], [("key", "ascending"),
+                                                ("id", "ascending")])
+        ids = np.asarray(t["id"].take(idx), np.int64)
+        rng = np.asarray(t["_range"].take(idx), np.int64)
+        pairs = _rank_pairs(ids, np.arange(len(ids)), rng, window, same=True)
+        # each row's range size: ranks restart at 0 where a range starts
+        starts = np.flatnonzero(rank == 0)
+        sizes = np.diff(np.append(starts, len(ids)))
+        size = np.repeat(sizes, sizes)
+        fr = np.flatnonzero((rank < window) | (rank >= size - window))
+        fringe = pa.table({"id_lo": ids[fr], "_range": rng[fr],
+                           "pos": rank[fr], "range_n": size[fr]})
+        # a window pair has no range, a fringe row has one
+        return pa.concat_tables([pairs, fringe], promote_options="default")
 
     # pairs and fringe both consume this — pin so the shuffle runs once
-    out = (slim.map_batches(assign, batch_format="pyarrow")
-               .groupby("_bucket")
-               .map_groups(window_pairs, batch_format="pyarrow")
-               .materialize())
-
-    import pyarrow.compute as pc
+    out = bucketed_groupby(slim.map_batches(assign, batch_format="pyarrow"),
+                           "_range", window_pairs,
+                           num_buckets=num_buckets).materialize()
 
     def in_window_pairs(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["kind"], 0)) \
-                .select(["id_lo", "id_hi", "dist"])
+        return t.filter(pc.is_null(t["_range"])).select(_SNM_PAIRS.names)
 
     def fringe_rows(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["kind"], 1)) \
-                .select(["id_lo", "bucket", "pos", "bucket_n"])
+        return t.filter(pc.is_valid(t["_range"]))
 
     pairs_ds = out.map_batches(in_window_pairs, batch_format="pyarrow")
-    fringe = out.map_batches(fringe_rows, batch_format="pyarrow").to_pandas()
+    fringe = collect(out.map_batches(fringe_rows, batch_format="pyarrow"),
+                     _SNM_FRINGE)
+    return pairs_ds.union(ray.data.from_arrow(_cross_pairs(fringe, window)))
 
-    cross = {"id_lo": [], "id_hi": [], "dist": []}
-    if len(fringe):
-        sizes = fringe.drop_duplicates("bucket").set_index("bucket")[
-            "bucket_n"].sort_index()
-        offsets = sizes.cumsum().shift(fill_value=0)
-        fringe = fringe.assign(
-            rank=fringe["bucket"].map(offsets).to_numpy(np.int64)
-                 + fringe["pos"].to_numpy(np.int64))
-        fringe = fringe.sort_values("rank")
-        ranks = fringe["rank"].to_numpy(np.int64)
-        ids = fringe["id_lo"].to_numpy(np.int64)
-        bks = fringe["bucket"].to_numpy(np.int64)
-        for d in range(1, window + 1):
-            j = np.searchsorted(ranks, ranks + d)
-            ok = (j < len(ranks))
-            jj = np.clip(j, 0, len(ranks) - 1)
-            ok &= (ranks[jj] == ranks + d) & (bks[jj] != bks)
-            a, b = ids[ok], ids[jj[ok]]
-            cross["id_lo"].extend(np.minimum(a, b).tolist())
-            cross["id_hi"].extend(np.maximum(a, b).tolist())
-            cross["dist"].extend([d] * int(ok.sum()))
 
-    cross_tbl = pa.table({k: pa.array(v, pa.int64())
-                          for k, v in cross.items()})
-    return pairs_ds.union(ray.data.from_arrow(cross_tbl))
+def _rank_pairs(ids: np.ndarray, rank: np.ndarray, rng: np.ndarray,
+                window: int, *, same: bool) -> pa.Table:
+    """(id_lo, id_hi, dist) of every two rows ``dist`` ≤ ``window`` ranks
+    apart (``rank`` ascending and unique) that lie in the same range
+    (``same``) or in two different ones."""
+    lo, hi, dd = ([np.zeros(0, np.int64)] for _ in range(3))
+    for d in range(1, window + 1):
+        j = np.minimum(np.searchsorted(rank, rank + d), len(rank) - 1)
+        p = np.flatnonzero((rank[j] == rank + d) & ((rng[j] == rng) == same))
+        lo.append(np.minimum(ids[p], ids[j[p]]))
+        hi.append(np.maximum(ids[p], ids[j[p]]))
+        dd.append(np.full(len(p), d, np.int64))
+    return pa.table([pa.array(np.concatenate(v), pa.int64())
+                     for v in (lo, hi, dd)], schema=_SNM_PAIRS)
+
+
+def _cross_pairs(fringe: pa.Table, window: int) -> pa.Table:
+    """The window pairs that straddle two ranges, from the fringe rows
+    (``_SNM_FRINGE``): a row's global rank is its range's offset (the sizes
+    of all lower ranges) plus its position in the range."""
+    rng = fringe["_range"].to_numpy()
+    ranges, first = np.unique(rng, return_index=True)
+    sizes = fringe["range_n"].to_numpy()[first]
+    rank = (np.cumsum(sizes) - sizes)[np.searchsorted(ranges, rng)] \
+        + fringe["pos"].to_numpy()
+    order = np.argsort(rank)
+    return _rank_pairs(fringe["id_lo"].to_numpy()[order], rank[order],
+                       rng[order], window, same=False)

@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from spel_ray.state.shuffle import topk_rows
+from spel_ray.state.shuffle import collect, topk_rows
 
 _PARTIAL = pa.schema([("qi", pa.int64()), ("vec_id", pa.int64()),
                       ("cosine", pa.float64())])
@@ -72,10 +72,7 @@ def _collect_topk(ds: ray.data.Dataset, score: Callable, query_ids,
 
     parts = ds.map_batches(batch_topk, batch_format="pyarrow",
                            batch_size=batch_size)
-    return _merge_topk(pa.concat_tables(
-        [_PARTIAL.empty_table(),
-         *parts.iter_batches(batch_size=None, batch_format="pyarrow")]),
-        query_ids, k)
+    return _merge_topk(collect(parts, _PARTIAL), query_ids, k)
 
 
 def _merge_topk(parts: pa.Table, query_ids, k: int) -> pd.DataFrame:
@@ -137,8 +134,9 @@ def train_ivf_centroids(ds: ray.data.Dataset, n_centroids: int = 16, *,
     """Coarse quantizer for IVF: k-means (Lloyd's, numpy) on a driver-side
     sample. At corpus scale the sample stays fixed-size — training cost is
     independent of dataset size; only assignment is distributed."""
-    # raises ValueError("The dataset is empty.") on an empty corpus
-    sample = ds.take_batch(sample_n, batch_format="pyarrow")
+    sample = collect(ds.limit(sample_n))
+    if sample.num_rows == 0:
+        raise ValueError("The dataset is empty.")
     x = _normalize(embeddings(sample[emb_col]))
     rng = np.random.default_rng(seed)
     cent = x[rng.choice(len(x), size=min(n_centroids, len(x)), replace=False)]

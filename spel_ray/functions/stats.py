@@ -37,7 +37,11 @@ import ray.data
 
 from spel_ray.stages.minhash import fixed_binary_view
 from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_groupby,
-                                    row_numbers)
+                                    collect, row_numbers)
+
+_COUNTS = pa.schema([("v", pa.float64()), ("n", pa.int64())])
+_SUMMARY = pa.schema([("min_v", pa.float64()), ("max_v", pa.float64()),
+                      ("n", pa.int64())])
 
 
 def _value_counts(ds: ray.data.Dataset, col: str,
@@ -63,31 +67,26 @@ def exact_quantiles(ds: ray.data.Dataset, col: str, qs: list[float], *,
     # one summary row per sorted block (block order == value order)
     def summarize(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return pa.table({"min_v": pa.array([], pa.float64()),
-                             "max_v": pa.array([], pa.float64()),
-                             "n": pa.array([], pa.int64())})
+            return _SUMMARY.empty_table()
         v = np.asarray(batch["v"], dtype=np.float64)
-        return pa.table({
-            "min_v": pa.array([float(v[0])], pa.float64()),
-            "max_v": pa.array([float(v[-1])], pa.float64()),
-            "n": pa.array([int(np.asarray(batch["n"]).sum())], pa.int64()),
-        })
+        return pa.table([[float(v[0])], [float(v[-1])],
+                         [int(np.asarray(batch["n"]).sum())]],
+                        schema=_SUMMARY)
 
     # Ray does NOT preserve block order through map_batches by default
     # (preserve_order off) — re-establish value order on the driver by
     # sorting the per-block summaries on min_v (blocks partition the
     # sorted value space, so min_v orders them totally)
-    summary = sorted(
-        counts.map_batches(summarize, batch_size=None,
-                           batch_format="pyarrow").take_all(),
-        key=lambda r: r["min_v"])
-    totals = np.array([r["n"] for r in summary], dtype=np.int64)
-    n_total = int(totals.sum())
+    summary = collect(counts.map_batches(summarize, batch_size=None,
+                                         batch_format="pyarrow"),
+                      _SUMMARY).sort_by("min_v")
+    min_v, max_v = summary["min_v"].to_numpy(), summary["max_v"].to_numpy()
+    cum = np.cumsum(summary["n"].to_numpy())
+    n_total = int(cum[-1]) if len(cum) else 0
     if n_total == 0:
         return pd.DataFrame({"q": pd.Series(qs, dtype="float64"),
                              "value": pd.Series([np.nan] * len(qs),
                                                 dtype="float64")})
-    cum = np.cumsum(totals)
     cum_before = np.concatenate([[0], cum[:-1]])
 
     ks = [max(1, math.ceil(q * n_total)) for q in qs]
@@ -96,8 +95,8 @@ def exact_quantiles(ds: ray.data.Dataset, col: str, qs: list[float], *,
     # re-read ONLY the touched blocks, in ONE filter pass over the counts
     # dataset (the union of the disjoint block ranges — one scan total,
     # not one per quantile)
-    touched = sorted(set(block_of.values()))
-    ranges = [(summary[bi]["min_v"], summary[bi]["max_v"]) for bi in touched]
+    ranges = [(float(min_v[bi]), float(max_v[bi]))
+              for bi in sorted(set(block_of.values()))]
 
     def in_ranges(b: pa.Table) -> pa.Table:
         mask = None
@@ -107,20 +106,17 @@ def exact_quantiles(ds: ray.data.Dataset, col: str, qs: list[float], *,
             mask = m if mask is None else pc.or_(mask, m)
         return b.filter(mask)
 
-    rows = counts.map_batches(in_ranges, batch_format="pyarrow") \
-                 .to_pandas().sort_values("v").reset_index(drop=True)
-    block_rows: dict[int, pd.DataFrame] = {}
-    for bi, (lo, hi) in zip(touched, ranges):
-        sub = rows[(rows["v"] >= lo) & (rows["v"] <= hi)]
-        block_rows[bi] = sub.reset_index(drop=True)
+    rows = collect(counts.map_batches(in_ranges, batch_format="pyarrow"),
+                   _COUNTS).sort_by("v")
+    v, n = rows["v"].to_numpy(), rows["n"].to_numpy()
 
     values = []
-    for q, k in zip(qs, ks):
+    for k in ks:
         bi = block_of[k]
-        sub = block_rows[bi]
-        c = cum_before[bi] + sub["n"].to_numpy().cumsum()
-        j = int(np.searchsorted(c, k, side="left"))
-        values.append(float(sub["v"].iloc[j]))
+        sub = (v >= min_v[bi]) & (v <= max_v[bi])
+        j = int(np.searchsorted(cum_before[bi] + n[sub].cumsum(), k,
+                                side="left"))
+        values.append(float(v[sub][j]))
     return pd.DataFrame({"q": pd.Series(qs, dtype="float64"),
                          "value": pd.Series(values, dtype="float64")})
 
@@ -205,4 +201,6 @@ def approx_distinct(ds: ray.data.Dataset, *, value_fn, group_col: str,
 
     out = bucketed_groupby(parts, "group", reduce_group,
                            num_buckets=num_buckets)
-    return out.to_pandas().sort_values(group_col).reset_index(drop=True)
+    return collect(out, pa.schema([(group_col, pa.string()),
+                                   ("n_approx", pa.float64())])) \
+        .to_pandas().sort_values(group_col).reset_index(drop=True)

@@ -12,20 +12,21 @@ import re
 
 import numpy as np
 
+# identifier / number tokens; the bytes form matches ``\d`` in ASCII only
+TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+")
+TOKEN_RE_BYTES = re.compile(TOKEN_RE.pattern.encode())
 
-def token_jaccard_pairs(a_list: list[str], b_list: list[str],
-                        token_re: re.Pattern | None = None) -> np.ndarray:
+
+def token_jaccard_pairs(a_list: list[str], b_list: list[str]) -> np.ndarray:
     """Jaccard over identifier/number token sets, per pair."""
-    if token_re is None:
-        token_re = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+")
     out = np.empty(len(a_list), dtype=np.float64)
     for i, (a, b) in enumerate(zip(a_list, b_list)):
-        ta, tb = set(token_re.findall(a)), set(token_re.findall(b))
+        ta, tb = set(TOKEN_RE.findall(a)), set(TOKEN_RE.findall(b))
         if not ta and not tb:
             out[i] = 1.0
         else:
             inter = len(ta & tb)
-            out[i] = inter / (len(ta) + len(tb) - inter) if (ta or tb) else 1.0
+            out[i] = inter / (len(ta) + len(tb) - inter)
     return out
 
 

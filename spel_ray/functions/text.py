@@ -21,7 +21,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from spel_ray.state.shuffle import (bucketed_groupby, bucketed_topk,
-                                    merge_bucket, topk_rows, with_schema)
+                                    collect, merge_bucket, topk_rows,
+                                    with_schema)
 
 _STOPWORDS = {
     "en": {"the", "and", "of", "to", "a", "in", "is", "it", "that", "for"},
@@ -168,9 +169,8 @@ def token_vocab(ds: ray.data.Dataset, top_k: int = 100, *,
 
     tops = bucketed_groupby(ds.map_batches(token_counts, batch_format="pyarrow"),
                             "token", bucket_top, num_buckets=num_buckets)
-    return topk_rows(pa.concat_tables(
-        [pa.schema([("token", pa.string()), ("n", pa.int64())]).empty_table(),
-         *tops.iter_batches(batch_size=None, batch_format="pyarrow")]),
+    return topk_rows(
+        collect(tops, pa.schema([("token", pa.string()), ("n", pa.int64())])),
         [], order, top_k).to_pandas()
 
 
@@ -241,8 +241,8 @@ def unigram_logppl(ds: ray.data.Dataset, *, vocab_size: int = 1000,
         n = sum(len((t or "").split()) for t in batch[text_col].to_pylist())
         return pa.table({"n": pa.array([n], pa.int64())})
 
-    total = int(ds.map_batches(count_tokens, batch_format="pyarrow")
-                .to_pandas()["n"].sum())
+    total = pc.sum(collect(ds.map_batches(count_tokens, batch_format="pyarrow"),
+                           pa.schema([("n", pa.int64())]))["n"]).as_py() or 0
     neg_logp = {t: -math.log(c / total)
                 for t, c in zip(vocab["token"], vocab["n"])} if total else {}
     ref = ray.put(neg_logp)

@@ -19,8 +19,8 @@ import ray.data
 from spel_ray.config import LinkageConfig
 from spel_ray.pipelines.curation import add_part, in_train
 from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_groupby,
-                                    bucketed_topk, cogroup, merge_bucket,
-                                    row_numbers)
+                                    bucketed_topk, cogroup, collect,
+                                    merge_bucket, row_numbers)
 
 
 def _docs(sf_dir: str, columns: list[str]) -> ray.data.Dataset:
@@ -418,12 +418,9 @@ def q_embedding_neardup(sf_dir: str) -> pd.DataFrame:
     })
     corpus = ds.map_batches(base, batch_format="pyarrow").union(
         ray.data.from_arrow(planted))
-    out = embedding_neardup_pairs(corpus, threshold=0.9).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"id_lo": pd.Series(dtype="int64"),
-                             "id_hi": pd.Series(dtype="int64"),
-                             "cosine": pd.Series(dtype="float64")})
-    out = out[["id_lo", "id_hi", "cosine"]]
+    out = collect(embedding_neardup_pairs(corpus, threshold=0.9), pa.schema(
+        [("id_lo", pa.int64()), ("id_hi", pa.int64()),
+         ("cosine", pa.float64())])).to_pandas()
     out["cosine"] = out["cosine"].round(5)
     return out.sort_values(["id_lo", "id_hi"]).reset_index(drop=True)
 
@@ -506,13 +503,11 @@ def q_chunk_neardup(sf_dir: str) -> pd.DataFrame:
                          "norm_content": batch["text"]})
 
     records = ds.map_batches(adapt, batch_format="pyarrow")
-    out = chunk_level_pairs(records, LinkageConfig(), window=16, overlap=4,
-                            num_buckets=8).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"id_lo": pd.Series(dtype="int64"),
-                             "id_hi": pd.Series(dtype="int64"),
-                             "max_chunk_score": pd.Series(dtype="float64"),
-                             "n_shared_chunks": pd.Series(dtype="int64")})
+    out = collect(chunk_level_pairs(records, LinkageConfig(), window=16,
+                                    overlap=4, num_buckets=8), pa.schema(
+        [("id_lo", pa.int64()), ("id_hi", pa.int64()),
+         ("max_chunk_score", pa.float64()),
+         ("n_shared_chunks", pa.int64())])).to_pandas()
     return out.sort_values(["id_lo", "id_hi"]).reset_index(drop=True)
 
 

@@ -46,7 +46,8 @@ from spel_ray.stages.fingerprint import (fingerprint, row_ids,
 from spel_ray.stages.pairs import scored_candidate_pairs
 from spel_ray.stages.scoring import (edges_from_pairs, matches,
                                     verify_borderline)
-from spel_ray.state.shuffle import bucketed_groupby, merge_bucket, topk_rows
+from spel_ray.state.shuffle import (bucketed_groupby, collect, merge_bucket,
+                                    topk_rows)
 
 
 @dataclass
@@ -210,9 +211,7 @@ def cluster_report(res: LinkageResult, *, num_buckets: int = 16,
     summary = bucketed_groupby(
         res.clusters.select_columns(["cluster_id"]), "cluster_id",
         bucket_summary, num_buckets=num_buckets)
-    parts = pa.concat_tables(
-        [pa.schema([(c, pa.int64()) for c in cols]).empty_table(),
-         *summary.iter_batches(batch_size=None, batch_format="pyarrow")])
+    parts = collect(summary, pa.schema([(c, pa.int64()) for c in cols]))
     hist = merge_bucket(parts, ["size"], [("n", "n_clusters", "sum")]) \
         .sort_by("size")
     hist = dict(zip(hist["size"].to_pylist(), hist["n"].to_pylist()))
@@ -247,16 +246,15 @@ def linkage_stats(res: LinkageResult, cfg: LinkageConfig | None = None) -> dict:
                                         thr).sum())],
         })
 
-    parts = res.pairs.map_batches(pair_counts, batch_format="pyarrow").take_all()
-    n = sum(p["n"] for p in parts)
-    capped = sum(p["n_capped"] for p in parts)
-    exact = sum(p["n_exact"] for p in parts)
-    cl = res.clusters
+    parts = collect(res.pairs.map_batches(pair_counts, batch_format="pyarrow"),
+                    pa.schema([(c, pa.int64()) for c in
+                               ("n", "n_capped", "n_exact", "n_edges_thr")]))
+    n, capped, exact, edges = (pc.sum(c).as_py() or 0 for c in parts.columns)
     return {
         "pairs": n,
         "capped_pairs": capped,
         "capped_fraction": round(capped / n, 5) if n else 0.0,
         "exact_pairs": exact,
-        "edges_over_threshold": sum(p["n_edges_thr"] for p in parts),
-        "records": cl.count(),
+        "edges_over_threshold": edges,
+        "records": res.clusters.count(),
     }

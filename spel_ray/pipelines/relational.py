@@ -25,19 +25,11 @@ import ray
 import ray.data
 
 from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_join,
-                                    bucketed_topk)
+                                    bucketed_topk, collect)
 
 
 def _read(sf_dir: str, table: str, columns: list[str]) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _collect(ds: ray.data.Dataset) -> pd.DataFrame:
-    """``to_pandas`` that keeps the typed columns of an all-empty result
-    (Ray drops them; the join's typed empty blocks still carry them)."""
-    df = ds.to_pandas()
-    return df if len(df.columns) else \
-        ds.schema().base_schema.empty_table().to_pandas()
 
 
 # ---------------------------------------------------------------- groupby agg
@@ -282,7 +274,7 @@ def q_customers_no_orders(sf_dir: str) -> pd.DataFrame:
 
     out = bucketed_join(cust, orders.map_batches(big, batch_format="pyarrow"),
                         "c_custkey", "o_custkey", how="anti", num_buckets=16)
-    return _collect(out).sort_values("c_custkey").reset_index(drop=True)
+    return collect(out).to_pandas().sort_values("c_custkey").reset_index(drop=True)
 
 
 def q_customers_big_orders(sf_dir: str) -> pd.DataFrame:
@@ -297,7 +289,7 @@ def q_customers_big_orders(sf_dir: str) -> pd.DataFrame:
 
     out = bucketed_join(cust, orders.map_batches(big, batch_format="pyarrow"),
                         "c_custkey", "o_custkey", how="semi", num_buckets=16)
-    return _collect(out).sort_values("c_custkey").reset_index(drop=True)
+    return collect(out).to_pandas().sort_values("c_custkey").reset_index(drop=True)
 
 
 def q_revenue_rollup(sf_dir: str) -> pd.DataFrame:

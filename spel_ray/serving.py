@@ -41,7 +41,7 @@ import ray.data
 
 from spel_ray.config import LinkageConfig
 from spel_ray.extension import get_scorer
-from spel_ray.state.shuffle import merge_bucket, topk_rows
+from spel_ray.state.shuffle import collect, merge_bucket, topk_rows
 from spel_ray.stages.blocking import block_features, block_schema, blocker_for
 from spel_ray.stages.fingerprint import fingerprint_batch
 from spel_ray.stages.scoring import matches, score_gather
@@ -157,9 +157,7 @@ class LinkageIndex:
 
         cfg = cfg or LinkageConfig()
         _, rows = link_head(records, cfg)
-        batches = list(rows.iter_batches(batch_format="pyarrow"))
-        return cls(cfg, pa.concat_tables(batches) if batches
-                   else block_schema(cfg).empty_table(),     # empty corpus
+        return cls(cfg, collect(rows, block_schema(cfg)),
                    scorer=get_scorer(cfg.scorer), blocker=blocker_for(cfg))
 
     # ----------------------------------------------------------------- link

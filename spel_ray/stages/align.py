@@ -30,6 +30,8 @@ from __future__ import annotations
 import pyarrow as pa
 import ray.data
 
+from spel_ray.state.shuffle import collect
+
 ALIGN_SCHEMA = pa.schema([
     ("doc_id", pa.int64()), ("gold_idx", pa.int64()),
     ("pred_idx", pa.int64()), ("gold_label", pa.string()),
@@ -223,7 +225,9 @@ def alignment_report(aligned: ray.data.Dataset) -> dict:
         return pa.Table.from_pandas(g, preserve_index=False) \
                        .replace_schema_metadata(None)
 
-    parts = aligned.map_batches(status_counts, batch_format="pyarrow").to_pandas()
+    parts = collect(aligned.map_batches(status_counts, batch_format="pyarrow"),
+                    pa.schema([("status", pa.string()), ("n", pa.int64()),
+                               ("n_correct", pa.int64())])).to_pandas()
     agg = parts.groupby("status").sum()
     counts = {s: int(n) for s, n in agg["n"].items()}
     two_sided = {s: c for s, c in counts.items()

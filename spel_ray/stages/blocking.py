@@ -268,7 +268,7 @@ def elect_band_carriers(records: ray.data.Dataset, cfg: LinkageConfig,
     ``ray.put`` handle to {carrier_key: carrier_row_id} (None when the map
     would exceed cfg.max_carrier_broadcast — suppression is then skipped
     rather than risking driver memory)."""
-    from spel_ray.state.shuffle import bucketed_aggregate
+    from spel_ray.state.shuffle import bucketed_aggregate, collect
 
     def slim(batch: pa.Table) -> pa.Table:
         keys = carrier_keys(batch["lang"], batch["content_sha256"])
@@ -284,17 +284,17 @@ def elect_band_carriers(records: ray.data.Dataset, cfg: LinkageConfig,
         [("carrier", "row_id", "min"), ("size", "row_id", "count")],
         num_buckets=num_buckets).map_batches(duplicated,
                                              batch_format="pyarrow")
-    # one execution: count() and to_pandas() would each run the plan
-    carriers_ds = carriers_ds.materialize()
-    n = carriers_ds.count()
-    if n == 0 or n > cfg.max_carrier_broadcast:
+    # one streamed pass that stops past the broadcast bound
+    t = collect(carriers_ds, pa.schema([("carrier_key", pa.int64()),
+                                        ("carrier", pa.int64())]),
+                limit=cfg.max_carrier_broadcast)
+    if t is None or t.num_rows == 0:
         return None
-    df = carriers_ds.to_pandas()
     # broadcast as SORTED (keys, carriers) arrays, not a dict: zero-copy out
     # of the object store in every worker, and the exploder's membership
     # probe becomes one np.searchsorted instead of per-row dict.get
     # (VERDICT r2 'what's wrong' #4)
-    keys = df["carrier_key"].to_numpy(np.int64)
-    vals = df["carrier"].to_numpy(np.int64)
+    keys = t["carrier_key"].to_numpy()
+    vals = t["carrier"].to_numpy()
     order = np.argsort(keys, kind="stable")
     return ray.put((keys[order], vals[order]))

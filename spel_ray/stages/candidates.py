@@ -27,6 +27,7 @@ import ray
 import ray.data
 
 from spel_ray.config import LinkageConfig
+from spel_ray.functions.strings import TOKEN_RE_BYTES
 
 NO_MATCH_ID = 0  # reserved, ≙ |||O||| in the reference vocabulary
 
@@ -155,13 +156,11 @@ def embed_token_bag(texts: list[str], dim: int = 1024,
     """(len(texts), dim) float32 L2-normalized hashed word-token bags — the
     WORD granularity view (≙ the reference's word level above subwords,
     ``span_annotation.py:66-121``)."""
-    import re
     from zlib import crc32
 
-    token_re = re.compile(rb"[A-Za-z_][A-Za-z_0-9]*|\d+")
     out = np.zeros((len(texts), dim), dtype=np.float32)
     for i, t in enumerate(texts):
-        toks = token_re.findall((t or "").encode("utf-8", errors="ignore"))
+        toks = TOKEN_RE_BYTES.findall((t or "").encode("utf-8", errors="ignore"))
         if not toks:
             continue
         h = np.fromiter((crc32(tk) for tk in toks), dtype=np.uint64,

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from spel_ray.state.shuffle import (bucketed_aggregate, bucketed_groupby,
-                                    merge_bucket, pair_key)
+                                    collect, merge_bucket, pair_key)
 
 
 def _local_union_find(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,33 +100,23 @@ def _to_directed(batch: pa.Table) -> pa.Table:
     })
 
 
+_SIG = pa.schema([("s", pa.uint64()), ("c", pa.int64())])
+_EDGES = pa.schema([("lo", pa.int64()), ("hi", pa.int64())])
+_IDS = pa.schema([("row_id", pa.int64())])
+
+
 def _checksum(edges: ray.data.Dataset) -> tuple[int, int]:
-    """(row count, order-independent uint64 checksum) of an edge set."""
+    """(row count, order-independent uint64 checksum) of an edge set; the
+    uint64 sums wrap mod 2**64."""
     def edge_checksum(batch: pa.Table) -> pa.Table:
         pk = pair_key(np.asarray(batch["lo"]), np.asarray(batch["hi"]))
         s = int(pk.view(np.uint64).sum(dtype=np.uint64))
-        return pa.table({"s": pa.array([s], pa.uint64()),
-                         "c": pa.array([batch.num_rows], pa.int64())})
+        return pa.table([pa.array([s], pa.uint64()),
+                         pa.array([batch.num_rows], pa.int64())], schema=_SIG)
 
-    parts = edges.map_batches(edge_checksum, batch_format="pyarrow").take_all()
-    total = sum(int(p["s"]) for p in parts) % (1 << 64)
-    count = sum(int(p["c"]) for p in parts)
-    return count, total
-
-
-def _gather(ds: ray.data.Dataset, cols: list[str],
-            limit: int | None = None) -> pa.Table | None:
-    """``cols`` of ``ds`` as one int64 table on the driver, or None as soon
-    as more than ``limit`` rows have arrived."""
-    typed = pa.schema([(c, pa.int64()) for c in cols])
-    parts, n = [typed.empty_table()], 0
-    for b in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-        n += b.num_rows
-        if limit is not None and n > limit:
-            return None
-        if b.num_rows:          # a 0-row block may carry no columns
-            parts.append(b.select(cols).cast(typed))
-    return pa.concat_tables(parts)
+    parts = collect(edges.map_batches(edge_checksum, batch_format="pyarrow"),
+                    _SIG)
+    return pc.sum(parts["c"]).as_py() or 0, pc.sum(parts["s"]).as_py() or 0
 
 
 def _driver_components(edges: ray.data.Dataset) -> ray.data.Dataset:
@@ -136,7 +127,7 @@ def _driver_components(edges: ray.data.Dataset) -> ray.data.Dataset:
     it. This is the hybrid the Ray guide prescribes for connected components
     ("union-find on the driver only if the candidate set is provably
     small")."""
-    t = _gather(edges, ["lo", "hi"])
+    t = collect(edges, _EDGES)
     return ray.data.from_arrow(_star(t["lo"].to_numpy(), t["hi"].to_numpy()))
 
 
@@ -191,10 +182,10 @@ def assign_clusters(records: ray.data.Dataset, star_edges: ray.data.Dataset,
     # the star is already computed (a driver table, materialized rounds or a
     # checkpoint read), so its count is free
     if driver_threshold > 0 and star_edges.count() <= driver_threshold:
-        ids = _gather(records.select_columns(["row_id"]), ["row_id"],
-                      driver_threshold)
+        ids = collect(records.select_columns(["row_id"]), _IDS,
+                      limit=driver_threshold)
         if ids is not None:
-            star = _gather(star_edges, ["lo", "hi"])
+            star = collect(star_edges, _EDGES)
             return ray.data.from_arrow(merge_bucket(
                 pa.concat_tables([self_label(ids), edge_label(star)]),
                 ["row_id"], [("cluster_id", "cluster_id", "min")]))

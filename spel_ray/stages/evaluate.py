@@ -19,9 +19,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.aggregate import AggregateFn
+
+from spel_ray.state.shuffle import collect, topk_rows
 
 
 def _truth_arrays(truth: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -48,14 +51,15 @@ def _sorted_get(keys: np.ndarray, vals: np.ndarray,
 
 
 def _collect_labeled(ds: ray.data.Dataset, truth: dict[int, int],
-                     columns: list[str],
+                     schema: pa.Schema,
                      id_cols: tuple[str, ...] = ("id_lo", "id_hi"),
-                     ) -> pd.DataFrame:
+                     ) -> pa.Table:
     """Semi-join ``ds`` to the broadcast truth-id set INSIDE map_batches and
-    collect only the labeled subset on the driver (the truth set is
-    broadcast-sized; the candidate-pair table is not — reference analog: the
-    candidate-set-restricted eval scores only gold-covered units,
-    ``utils.py:530-544``). Never materializes the unfiltered table."""
+    collect only the labeled subset, as a table of ``schema``, on the driver
+    (the truth set is broadcast-sized; the candidate-pair table is not —
+    reference analog: the candidate-set-restricted eval scores only
+    gold-covered units, ``utils.py:530-544``). Never materializes the
+    unfiltered table."""
     keys, _ = _truth_arrays(truth)
     keys_ref = ray.put(keys)
 
@@ -68,11 +72,23 @@ def _collect_labeled(ds: ray.data.Dataset, truth: dict[int, int],
             mask &= hit
         return batch.filter(pa.array(mask))
 
-    pdf = (ds.select_columns(columns)
-             .map_batches(keep_labeled, batch_format="pyarrow")
-             .to_pandas())
-    if len(pdf) == 0:                       # empty Datasets can lose schema
-        return pd.DataFrame({c: pd.Series([], dtype=object) for c in columns})
+    return collect(ds.select_columns(schema.names)
+                     .map_batches(keep_labeled, batch_format="pyarrow"),
+                   schema)
+
+
+def _labeled_pairs(pairs: ray.data.Dataset, truth: dict[int, int],
+                   payload: tuple[str, pa.DataType]) -> pd.DataFrame:
+    """The labeled candidate pairs (both ids in ``truth``) as (id_lo, id_hi,
+    payload, is_match): gold says match when both ids share a truth
+    label."""
+    t = _collect_labeled(pairs, truth, pa.schema(
+        [("id_lo", pa.int64()), ("id_hi", pa.int64()), payload]))
+    keys, labs = _truth_arrays(truth)
+    lo_lab, _ = _sorted_get(keys, labs, t["id_lo"].to_numpy())
+    hi_lab, _ = _sorted_get(keys, labs, t["id_hi"].to_numpy())
+    pdf = t.to_pandas()
+    pdf["is_match"] = lo_lab == hi_lab
     return pdf
 
 
@@ -134,12 +150,8 @@ def labeled_pairs_from_run(pairs: ray.data.Dataset,
     Scale note: only the *labeled* subset (both endpoints in ``truth``) is
     collected — the filter runs distributed (`_collect_labeled`), so the
     driver never holds the full candidate-pair table."""
-    pdf = _collect_labeled(pairs, truth, ["id_lo", "id_hi", "block_key"])
-    keys, labs = _truth_arrays(truth)
-    lo_lab, _ = _sorted_get(keys, labs, pdf["id_lo"].to_numpy(np.int64))
-    hi_lab, _ = _sorted_get(keys, labs, pdf["id_hi"].to_numpy(np.int64))
-    pdf["is_match"] = lo_lab == hi_lab
-    return pdf.sort_values(["id_lo", "id_hi"]).reset_index(drop=True)
+    return _labeled_pairs(pairs, truth, ("block_key", pa.int64())) \
+        .sort_values(["id_lo", "id_hi"]).reset_index(drop=True)
 
 
 def threshold_sweep(pairs: ray.data.Dataset, truth: dict[int, int],
@@ -160,11 +172,8 @@ def threshold_sweep(pairs: ray.data.Dataset, truth: dict[int, int],
     Scale note: the labeled-pair filter runs distributed; only the labeled
     subset reaches the driver, where the distinct-score cumsum runs (the
     labeled set is broadcast-sized by construction)."""
-    pdf = _collect_labeled(pairs, truth, ["id_lo", "id_hi", "score"])
-    keys, labs = _truth_arrays(truth)
-    lo_lab, _ = _sorted_get(keys, labs, pdf["id_lo"].to_numpy(np.int64))
-    hi_lab, _ = _sorted_get(keys, labs, pdf["id_hi"].to_numpy(np.int64))
-    y = lo_lab == hi_lab
+    pdf = _labeled_pairs(pairs, truth, ("score", pa.float64()))
+    y = pdf["is_match"].to_numpy(bool)
     s = pdf["score"].to_numpy(np.float64)
     if len(s) == 0 or not y.any():
         empty = pd.DataFrame({"threshold": [], "precision": [],
@@ -206,8 +215,9 @@ def expected_clusters_table(clusters: ray.data.Dataset,
                             records: ray.data.Dataset) -> pd.DataFrame:
     """FIXTURES.md §3 ``expected_clusters`` golden-output shape:
     (row_id, cluster_id, content_sha256)."""
-    cl = clusters.to_pandas()
-    sha = records.select_columns(["row_id", "content_sha256"]).to_pandas()
+    cl = collect(clusters).to_pandas()
+    sha = collect(records.select_columns(["row_id", "content_sha256"])) \
+        .to_pandas()
     out = cl.merge(sha, on="row_id")
     return out.sort_values("row_id").reset_index(drop=True)
 
@@ -224,20 +234,15 @@ def evaluate_clusters(pairs: ray.data.Dataset, clusters: ray.data.Dataset,
     Scale note: both the pair table AND the cluster-assignment table are
     filtered to labeled ids distributed-side; the driver only ever holds
     O(|truth|²-bounded labeled pairs + |truth| cluster rows)."""
-    cl = _collect_labeled(clusters, truth, ["row_id", "cluster_id"],
-                          id_cols=("row_id",))
-    lkeys = cl["row_id"].to_numpy(np.int64)
-    lvals = cl["cluster_id"].to_numpy(np.int64)
-    lorder = np.argsort(lkeys, kind="stable")
-    lkeys, lvals = lkeys[lorder], lvals[lorder]
+    cl = _collect_labeled(clusters, truth, pa.schema(
+        [("row_id", pa.int64()), ("cluster_id", pa.int64())]),
+        id_cols=("row_id",)).sort_by("row_id")
+    lkeys = cl["row_id"].to_numpy()
+    lvals = cl["cluster_id"].to_numpy()
 
-    pdf = _collect_labeled(pairs, truth, ["id_lo", "id_hi", "block_key"])
+    pdf = _labeled_pairs(pairs, truth, ("block_key", pa.int64()))
     lo = pdf["id_lo"].to_numpy(np.int64)
     hi = pdf["id_hi"].to_numpy(np.int64)
-    keys, labs = _truth_arrays(truth)
-    lo_lab, _ = _sorted_get(keys, labs, lo)
-    hi_lab, _ = _sorted_get(keys, labs, hi)
-    pdf["is_match"] = lo_lab == hi_lab
     lo_cl, lo_hit = _sorted_get(lkeys, lvals, lo)
     hi_cl, hi_hit = _sorted_get(lkeys, lvals, hi)
     pdf["pred_match"] = lo_hit & hi_hit & (lo_cl == hi_cl)
@@ -291,7 +296,6 @@ def blocking_quality(records: ray.data.Dataset, pairs: ray.data.Dataset,
     from spel_ray.stages.blocking import sha16_bytes
     from spel_ray.stages.minhash import MinHasher, fixed_binary_view, sig_dtype
     from spel_ray.stages.scoring import matches, score_gather
-    from spel_ray.state.shuffle import topk_rows
 
     cfg = cfg or LinkageConfig()
     mult = np.uint64(2654435761)
@@ -315,11 +319,9 @@ def blocking_quality(records: ray.data.Dataset, pairs: ray.data.Dataset,
         return topk_rows(t.select(sample.names).cast(sample), [], by_rank,
                          sample_size)
 
-    parts = topk_rows(pa.concat_tables(
-        [sample.empty_table(),
-         *records.map_batches(local_top, batch_format="pyarrow")
-                 .iter_batches(batch_size=None, batch_format="pyarrow")]),
-        [], by_rank, sample_size).to_pandas()
+    parts = topk_rows(collect(records.map_batches(local_top,
+                                                  batch_format="pyarrow"),
+                              sample), [], by_rank, sample_size).to_pandas()
     s = len(parts)
 
     dt = sig_dtype(cfg)
@@ -360,11 +362,11 @@ def blocking_quality(records: ray.data.Dataset, pairs: ray.data.Dataset,
                 pa.int64()),
         })
 
-    cparts = pairs.map_batches(sample_counts,
-                               batch_format="pyarrow").take_all()
-    n_cand_sample = sum(p["n_cand_sample"] for p in cparts)
-    n_matched = sum(p["n_matched"] for p in cparts)
-    n_matched_strong = sum(p["n_matched_strong"] for p in cparts)
+    cparts = collect(pairs.map_batches(sample_counts, batch_format="pyarrow"),
+                     pa.schema([(c, pa.int64()) for c in (
+                         "n_cand_sample", "n_matched", "n_matched_strong")]))
+    n_cand_sample, n_matched, n_matched_strong = (
+        pc.sum(c).as_py() or 0 for c in cparts.columns)
 
     total = n_records * (n_records - 1) / 2.0
     return pd.DataFrame({

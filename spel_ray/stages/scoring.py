@@ -85,9 +85,7 @@ class BorderlineVerifier:
     """Actor-pool stage: exact re-score of borderline pairs given contents."""
 
     def __init__(self, cfg: LinkageConfig):
-        import re
         self.cfg = cfg
-        self.token_re = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+")
         self.prefix = 128  # JW is O(prefix·window) per pair; token-Jaccard
         # carries most of the weight, the prefix only breaks near-ties
 
@@ -98,7 +96,7 @@ class BorderlineVerifier:
         union order)."""
         a = pc.fill_null(batch["content_lo"], "").to_pylist()
         b = pc.fill_null(batch["content_hi"], "").to_pylist()
-        tok_jac = token_jaccard_pairs(a, b, self.token_re)
+        tok_jac = token_jaccard_pairs(a, b)
         jw = jaro_winkler_pairs([s[: self.prefix] for s in a],
                                 [s[: self.prefix] for s in b])
         verified = 0.7 * tok_jac + 0.3 * jw

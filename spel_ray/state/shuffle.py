@@ -29,6 +29,9 @@ hand):
   bucket, each side under its own column names.
 - ``bucketed_join(..., how=inner|left|full|semi|anti)`` — SQL joins as a
   ``cogroup`` whose per-bucket kernel is the Ray-free ``join_bucket``.
+- ``collect(ds, schema)`` — the only driver gather: every row of a dataset
+  as one Arrow table, typed even when there are no rows, or None once more
+  than ``limit`` rows have arrived.
 - ``stable_str_hash`` / ``pair_key`` — cross-process-stable key helpers.
 
 Exchange properties:
@@ -129,6 +132,34 @@ def with_schema(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
     ``map_batches`` without calling the UDF and without its columns, so an
     operator whose result has no rows would otherwise have no schema."""
     return ds.union(ray.data.from_arrow(schema.empty_table()))
+
+
+def collect(ds: ray.data.Dataset, schema: pa.Schema | None = None, *,
+            limit: int | None = None) -> pa.Table | None:
+    """Every row of ``ds`` as one Arrow table of ``schema`` on the driver
+    (its columns selected and cast; a batch whose types already match is
+    kept as is, zero-copy), or None at the first batch that takes the row
+    count past ``limit`` — no further batch is pulled. ``schema=None`` is
+    the dataset's own: the batches' unified schema, else the one Ray knows
+    or fetches (column-less only when Ray knows none). 0-row blocks, which
+    may arrive without columns, are skipped."""
+    parts, n = [], 0
+    for b in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+        n += b.num_rows
+        if limit is not None and n > limit:
+            return None
+        if b.num_rows:
+            parts.append(b)
+    if schema is None:
+        if parts:
+            schema = pa.unify_schemas([p.schema for p in parts])
+        else:
+            own = ds.schema()
+            schema = own.base_schema if own is not None and isinstance(
+                own.base_schema, pa.Schema) else pa.schema([])
+    return pa.concat_tables([schema.empty_table()] + [
+        p if p.schema == schema else p.select(schema.names).cast(schema)
+        for p in parts])
 
 
 def _named(run: Callable, fn: Callable) -> Callable:

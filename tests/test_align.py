@@ -87,6 +87,13 @@ def test_distributed_alignment_and_report():
     assert rep["aligned_units"] == 4
     assert rep["accuracy"] == 1.0
     assert rep["counts"]["match"] == 2
+    # no spans at all: the report's driver gather stays typed
+    none = rd.from_arrow(pa.table({
+        "doc_id": pa.array([], pa.int64()), "span_idx": pa.array([], pa.int64()),
+        "text": pa.array([], pa.string()), "label": pa.array([], pa.string()),
+    }))
+    assert alignment_report(align_gold_pred(none, none, num_buckets=2)) == {
+        "counts": {}, "aligned_units": 0, "accuracy": 0.0}
 
 
 # ------------------------- M5: subword↔word alignment w/ lookahead repair

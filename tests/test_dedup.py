@@ -108,17 +108,37 @@ def test_embedding_neardup():
     assert set(zip(out["id_lo"], out["id_hi"])) == {(1, 2)}
 
 
-def test_sorted_neighborhood_matches_bruteforce():
-    """Distributed SNM == driver brute force (sort + window pairs), at two
-    bucket counts and a partitioning that forces cross-bucket fringes."""
+def _snm_bruteforce(ids, texts, w):
+    """Driver model of sorted-neighborhood pairs: sort by (normalized
+    32-char key, id), then every pair within ``w`` positions."""
     import re
 
-    import numpy as np
     import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
 
+    key = [re.sub(r"\s+", " ", x or "").strip()[:32] for x in texts]
+    arr = pd.DataFrame({"id": ids, "key": key}) \
+        .sort_values(["key", "id"])["id"].to_numpy()
+    return pd.DataFrame(
+        [(min(a, b), max(a, b), d)
+         for d in range(1, w + 1)
+         for a, b in zip(arr[:-d], arr[d:])],
+        columns=["id_lo", "id_hi", "dist"], dtype="int64") \
+        .sort_values(["id_lo", "id_hi", "dist"]).reset_index(drop=True)
+
+
+def _snm(ds, **kw):
     from spel_ray.functions.dedup import sorted_neighborhood_pairs
+
+    return sorted_neighborhood_pairs(ds, **kw).to_pandas() \
+        .sort_values(["id_lo", "id_hi", "dist"]).reset_index(drop=True)
+
+
+def test_sorted_neighborhood_matches_bruteforce():
+    """Distributed SNM == driver brute force (sort + window pairs) at every
+    bucket count and two input partitionings: one range per row group, many
+    tiny ranges whose window spans several of them, and more hash buckets
+    than ranges, so several ranges share a bucket."""
+    import pandas as pd
 
     rng = np.random.default_rng(5)
     words = ["alpha", "beta", "gamma", "delta", "eps", "zeta"]
@@ -127,30 +147,17 @@ def test_sorted_neighborhood_matches_bruteforce():
     ids = rng.permutation(900)[:300].astype(np.int64)
     t = pa.table({"doc_id": pa.array(ids, pa.int64()),
                   "text": pa.array(texts)})
-    ds = rd.from_arrow(t).repartition(5)
-
     w = 4
-    key = [re.sub(r"\s+", " ", x).strip()[:32] for x in texts]
-    df = pd.DataFrame({"id": ids, "key": key}) \
-        .sort_values(["key", "id"]).reset_index(drop=True)
-    arr = df["id"].to_numpy()
-    ref = pd.DataFrame(
-        [(min(a, b), max(a, b), d)
-         for d in range(1, w + 1)
-         for a, b in zip(arr[:-d], arr[d:])],
-        columns=["id_lo", "id_hi", "dist"]) \
-        .sort_values(["id_lo", "id_hi", "dist"]).reset_index(drop=True)
-
-    for nb in (2, 9):    # many tiny buckets → window spans several buckets
-        got = sorted_neighborhood_pairs(ds, window=w, num_buckets=nb) \
-            .to_pandas().sort_values(["id_lo", "id_hi", "dist"]) \
-            .reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, ref)
+    ref = _snm_bruteforce(ids, texts, w)
+    for blocks in (1, 5):
+        ds = rd.from_arrow(t).repartition(blocks)
+        for nb in (1, 2, 9, 64):
+            pd.testing.assert_frame_equal(
+                _snm(ds, window=w, num_buckets=nb), ref)
 
 
 def test_sorted_neighborhood_edge_cases():
-    import pyarrow as pa
-    import ray.data as rd
+    import pandas as pd
 
     from spel_ray.functions.dedup import sorted_neighborhood_pairs
 
@@ -163,9 +170,22 @@ def test_sorted_neighborhood_edge_cases():
 
     # nulls and empty strings sort first, deterministically
     t = pa.table({"doc_id": [1, 2, 3], "text": [None, "", "zzz"]})
-    out = sorted_neighborhood_pairs(rd.from_arrow(t), window=2) \
-        .to_pandas().sort_values(["id_lo", "id_hi"]).reset_index(drop=True)
+    out = _snm(rd.from_arrow(t), window=2)
     assert len(out) == 3    # all C(3,2) pairs within window 2
+
+    # duplicate keys (ties broken by id), nulls, empty texts and keys that
+    # agree past the 8-byte surrogate; n < window and n > window
+    ids = [40, 3, 17, 8, 25, 11, 30, 2, 19, 5]
+    texts = ["dup", "dup", None, "", "dup", "  dup  ", None,
+             "prefix-shared-a", "prefix-shared-b", ""]
+    for n, w in ((4, 6), (10, 3)):
+        t = pa.table({"doc_id": pa.array(ids[:n], pa.int64()),
+                      "text": pa.array(texts[:n], pa.string())})
+        for nb in (1, 3, 16):
+            pd.testing.assert_frame_equal(
+                _snm(rd.from_arrow(t).repartition(2), window=w,
+                     num_buckets=nb),
+                _snm_bruteforce(ids[:n], texts[:n], w))
 
 
 def test_snm_surrogate_large_string_offsets():

@@ -43,6 +43,10 @@
   ``bucketed_groupby`` call passes ``batch_format``: every exchange bucket
   is an Arrow table.
   Driver queries may still return a DataFrame at the very end.
+- One driver gather: ``iter_batches`` / ``take_all`` / ``take_batch`` /
+  ``to_arrow_refs`` / ``iter_rows`` are called only in
+  ``spel_ray/state/shuffle.py`` (``collect``), with no allowlist; every
+  other module brings rows to the driver through ``collect``.
 """
 
 import ast
@@ -52,11 +56,7 @@ PKG = Path(__file__).resolve().parent.parent / "spel_ray"
 EXCHANGE = "state/shuffle.py"
 
 # (module, enclosing function) -> why it may shuffle by hand
-ALLOWED = {
-    ("functions/dedup.py", "sorted_neighborhood_pairs"):
-        "sorted-neighborhood range partition: buckets must preserve key "
-        "order, which a hash bucket cannot",
-}
+ALLOWED: dict = {}
 
 
 # (module, enclosing function) -> why it may rank by hand
@@ -269,6 +269,21 @@ def _sketch_calls(tree: ast.AST):
 def _modules():
     for path in sorted(PKG.rglob("*.py")):
         yield path.relative_to(PKG).as_posix(), ast.parse(path.read_text())
+
+
+GATHERS = ("iter_batches", "take_all", "take_batch", "to_arrow_refs",
+           "iter_rows")
+
+
+def test_only_shuffle_module_collects():
+    bad = [f"spel_ray/{mod}:{node.lineno} ({func}): .{node.func.attr}("
+           for mod, tree in _modules() if mod != EXCHANGE
+           for func, node in _nodes(tree)
+           if isinstance(node, ast.Call)
+           and isinstance(node.func, ast.Attribute)
+           and node.func.attr in GATHERS]
+    assert not bad, ("hand-rolled driver gather outside state/shuffle.py — "
+                     "use collect(ds, schema):\n" + "\n".join(bad))
 
 
 def test_only_shuffle_module_exchanges():

@@ -242,3 +242,7 @@ def test_approx_distinct_groups():
         .set_index("g")["n_approx"]
     assert abs(out["a"] / 800 - 1.0) <= 0.05
     assert abs(out["b"] / 150 - 1.0) <= 0.05
+    # a 0-row input comes back as a typed, empty frame
+    none = approx_distinct(rd.from_arrow(t.slice(0, 0)), value_fn=by_group,
+                           group_col="g", num_buckets=2)
+    assert list(none.columns) == ["g", "n_approx"] and len(none) == 0
