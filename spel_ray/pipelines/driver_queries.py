@@ -566,29 +566,35 @@ def q_scrub_docs(sf_dir: str) -> pd.DataFrame:
         .sort_values("doc_id").reset_index(drop=True)
 
 
+def _doc_records(batch: pa.Table) -> pa.Table:
+    return pa.table({"row_id": batch["doc_id"], "norm_content": batch["text"]})
+
+
+def _candidate_inputs(sf_dir: str) -> tuple[ray.data.Dataset, pd.DataFrame]:
+    """The candidate queries' inputs: every document as a (row_id,
+    norm_content) record, and the first 20 documents as the candidate
+    vocabulary (cand_id = doc_id + 1), filtered inside the parquet read."""
+    import pyarrow.parquet as pq
+
+    reps = pq.read_table(f"{sf_dir}/documents.parquet",
+                         columns=["doc_id", "text"],
+                         filters=[("doc_id", "<", 20)]).to_pandas()
+    cands = pd.DataFrame({"cand_id": reps["doc_id"] + 1,
+                          "repr_content": reps["text"],
+                          "lang": "txt"})
+    records = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        _doc_records, batch_format="pyarrow")
+    return records, cands
+
+
 def q_candidate_resolution(sf_dir: str) -> pd.DataFrame:
     """rows-only: SpEL-style fixed-candidate-set scoring — the first 20
     documents form the candidate vocabulary; every document resolves to its
     nearest representative (or NO_MATCH) via the broadcast matrix scorer."""
-    import pyarrow.parquet as pq
-
     from spel_ray.stages.candidates import (
         resolve_candidates, score_against_candidates)
 
-    reps = pq.read_table(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"]).to_pandas()
-    reps = reps[reps["doc_id"] < 20]
-    cands = pd.DataFrame({"cand_id": reps["doc_id"] + 1,
-                          "repr_content": reps["text"],
-                          "lang": "txt"})
-
-    ds = _docs(sf_dir, ["doc_id", "text"])
-
-    def adapt(batch: pa.Table) -> pa.Table:
-        return pa.table({"row_id": batch["doc_id"],
-                         "norm_content": batch["text"]})
-
-    records = ds.map_batches(adapt, batch_format="pyarrow")
+    records, cands = _candidate_inputs(sf_dir)
     scored = score_against_candidates(records, cands, k=3, dim=512,
                                       min_score=0.55)
     out = resolve_candidates(scored).to_pandas()
@@ -601,24 +607,9 @@ def q_candidate_multigrain(sf_dir: str) -> pd.DataFrame:
     intersection semantics — a candidate must survive the top-k of BOTH the
     char-ngram and the word-token view; unanimity → that id, else best
     mean; empty intersection → NO_MATCH)."""
-    import pyarrow.parquet as pq
-
     from spel_ray.stages.candidates import resolve_multigrain
 
-    reps = pq.read_table(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"]).to_pandas()
-    reps = reps[reps["doc_id"] < 20]
-    cands = pd.DataFrame({"cand_id": reps["doc_id"] + 1,
-                          "repr_content": reps["text"],
-                          "lang": "txt"})
-
-    ds = _docs(sf_dir, ["doc_id", "text"])
-
-    def adapt(batch: pa.Table) -> pa.Table:
-        return pa.table({"row_id": batch["doc_id"],
-                         "norm_content": batch["text"]})
-
-    records = ds.map_batches(adapt, batch_format="pyarrow")
+    records, cands = _candidate_inputs(sf_dir)
     out = resolve_multigrain(records, cands, k=3, dim=512,
                              min_score=0.3).to_pandas()
     out["confidence"] = out["confidence"].round(5)

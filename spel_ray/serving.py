@@ -20,10 +20,13 @@ model state, then per-request annotate. The engine analog:
   actors; the reference serializes requests under a lock,
   ``server.py:45``) or one shard of :class:`ShardedLinkageIndex`.
 
-Scale note: one index holds the whole corpus's sketch features (~300 B/row
-→ ~3 GB per 10M rows). Past that, :class:`ShardedLinkageIndex` shards by
-``block_key % n_shards`` into n actors and fans the probe out — the probe
-is embarrassingly parallel because every shard owns a disjoint key range.
+Scale note: one index holds the whole corpus's sketch features, one
+216 B feature row per block row plus the probe arrays. With the default
+blocker's 17 block rows per record that is ~3.8 KB per record (19.0 MB
+for a 5k-record corpus), so ~38 GB per 10M records. Past that,
+:class:`ShardedLinkageIndex` shards by ``block_key % n_shards`` into n
+actors and fans the probe out — the probe is embarrassingly parallel
+because every shard owns a disjoint key range.
 
 A ``link_many`` batch is one probe (one range gather, one
 ``score_gather``), and every merge — main + delta, each shard, the driver
@@ -128,8 +131,11 @@ class LinkageIndex:
         # bits; compaction drops the dead rows from the arrays
         self._alive = np.ones(len(self._keys), dtype=bool)
         # probe index: distinct key j owns sorted positions
-        # [_offsets[j], _offsets[j + 1])
-        self._ukeys, starts = np.unique(self._keys, return_index=True)
+        # [_offsets[j], _offsets[j + 1]), the runs of the sorted keys
+        first = np.ones(len(self._keys), dtype=bool)
+        first[1:] = self._keys[1:] != self._keys[:-1]
+        starts = np.flatnonzero(first)
+        self._ukeys = self._keys[starts]
         self._offsets = np.append(starts, len(self._keys))
 
     def _n_live(self) -> int:
@@ -178,12 +184,18 @@ class LinkageIndex:
 
     def _segment_hits(self, f: dict, thr: float) -> pa.Table:
         """Every row of this segment that ``matches`` a query of the batch
-        ``f`` at ``thr``, once per ``(q, row_id)``, with RAW scores."""
+        ``f`` at ``thr``, with RAW scores. Each ``(q, row_id)`` is scored
+        once, however many of the query's keys it sits under."""
         pos, probe = self._live_positions(f["block_key"])
-        # a row may sit under several of a query's keys: score it once
-        _, first = np.unique(np.stack([f["q"][probe], self._row_id[pos]], 1),
-                             axis=0, return_index=True)
-        pos, probe = pos[first], probe[first]
+        # a row may sit under several of a query's keys: score it once, at
+        # its first probe (a stable sort by (q, row_id) keeps probe order)
+        q, rid = f["q"][probe], self._row_id[pos]
+        order = np.lexsort((rid, q))
+        q, rid = q[order], rid[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (q[1:] != q[:-1]) | (rid[1:] != rid[:-1])
+        keep = order[first]
+        pos, probe = pos[keep], probe[keep]
         _, exact, score = score_gather(self._scorer, self.cfg, f, probe,
                                        self._f, pos)
         hit = matches(exact, score, thr)
@@ -240,13 +252,19 @@ class LinkageIndex:
         Evicting a previous version from main is a bit flip in its deletion
         vector, not a rebuild. When the delta or main's dead rows outgrow
         ``compact_ratio`` of main's live rows, one sorted rebuild compacts
-        the delta into main and folds the deletion vector in. Returns the
-        number of records absorbed."""
-        rows = self._blocker(fingerprint_batch(
-            records, strip_comments=self.cfg.strip_comments))
+        the delta into main and folds the deletion vector in. A key
+        repeated within ``records`` keeps its last version, as if the rows
+        were added one at a time. Returns the number of records absorbed."""
+        fp = fingerprint_batch(records,
+                               strip_comments=self.cfg.strip_comments)
+        # the last version of a row_id repeated in the batch wins
+        rev = np.asarray(fp["row_id"], np.int64)[::-1]
+        new_ids, last = np.unique(rev, return_index=True)
+        if len(new_ids) < len(rev):
+            fp = fp.take(np.sort(len(rev) - 1 - last))
+        rows = self._blocker(fp)
         # upsert: evict any previous version of the incoming rows first
-        # unique: np.isin scans a short id list instead of sorting main
-        new_ids = np.unique(np.asarray(rows["row_id"], np.int64))
+        # (np.isin scans the short distinct id list instead of sorting main)
         self._drop_row_ids(new_ids)
         if self._delta is not None:
             self._delta._drop_row_ids(new_ids)
@@ -313,8 +331,8 @@ def serving_actor(num_cpus: float = 1.0):
 
 class ShardedLinkageIndex:
     """Serving index sharded ``block_key % n_shards`` across actor replicas
-    — the growth path past the single index's ~10M-row envelope (VERDICT r2
-    'missing' #3).
+    — the growth path past what one process holds (~38 GB per 10M
+    records, see the module's scale note; VERDICT r2 'missing' #3).
 
     Build writes the exploded block rows as shard-partitioned Parquet (one
     streaming ``write_parquet(partition_cols=['shard'])`` — the rows never

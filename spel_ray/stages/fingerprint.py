@@ -55,68 +55,58 @@ def _norm_ws(col: pa.ChunkedArray | pa.Array) -> pa.Array:
 # comments BEFORE whitespace collapse. Regex-level stripping deliberately
 # ignores string-literal corner cases — both members of a near-dup pair get
 # the identical treatment, which is all a blocking/scoring view needs.
-_LINE_COMMENT = {
-    "python": r"#[^\n]*", "py": r"#[^\n]*", "ruby": r"#[^\n]*",
-    "rb": r"#[^\n]*", "sh": r"#[^\n]*", "bash": r"#[^\n]*",
-    "yaml": r"#[^\n]*",
-    "java": r"//[^\n]*", "js": r"//[^\n]*", "ts": r"//[^\n]*",
-    "go": r"//[^\n]*", "rust": r"//[^\n]*", "rs": r"//[^\n]*",
-    "c": r"//[^\n]*", "cpp": r"//[^\n]*", "cs": r"//[^\n]*",
-    "sql": r"--[^\n]*",
+_HASH_COMMENT = (r"#[^\n]*",)
+# block comments first, then line comments
+_C_COMMENT = (r"(?s)/\*.*?\*/", r"//[^\n]*")
+# each lang's regex chain, in the order its rows run it; other langs have
+# none
+_COMMENT_CHAIN = {
+    **dict.fromkeys(["python", "py", "ruby", "rb", "sh", "bash", "yaml"],
+                    _HASH_COMMENT),
+    **dict.fromkeys(["java", "js", "ts", "go", "rust", "rs", "c", "cpp", "cs"],
+                    _C_COMMENT),
+    "sql": (r"--[^\n]*",),
 }
-_BLOCK_COMMENT_LANGS = {"java", "js", "ts", "go", "rust", "rs", "c", "cpp", "cs"}
-_BLOCK_COMMENT = r"(?s)/\*.*?\*/"
 
 
 def strip_code_comments(content: pa.ChunkedArray | pa.Array,
                         langs: pa.ChunkedArray | pa.Array) -> pa.Array:
     """Remove line/block comments from ``content`` per-row according to
-    ``langs`` — vectorized: rows are grouped by DISTINCT lang (dictionary
-    encode), each group gets its regex chain as whole-array Arrow kernels,
-    and the groups are stitched back with one take. Unknown langs pass
-    through untouched."""
+    ``langs`` — vectorized: rows are grouped by the regex chain their lang
+    runs (``_COMMENT_CHAIN``: the C family, the ``#`` family and sql make
+    three chains however many langs a batch holds), each group runs
+    its chain as whole-array Arrow kernels, and one take stitches the
+    groups back. Rows of a null or unknown lang pass through untouched."""
     if isinstance(content, pa.ChunkedArray):
         content = content.combine_chunks()
     if isinstance(langs, pa.ChunkedArray):
         langs = langs.combine_chunks()
     n = len(content)
-    if n == 0:
-        return content
     d = langs.dictionary_encode()
-    uniq = d.dictionary.to_pylist()
-    if not any((u or "") in _LINE_COMMENT for u in uniq):
+    chains = [_COMMENT_CHAIN.get(u, ()) for u in d.dictionary.to_pylist()]
+    # group 0 is the empty chain (sorted first), which null langs join too
+    groups = sorted(set(chains) | {()})
+    if n == 0 or len(groups) == 1:
         return content
-    # null langs: fill the index with a sentinel so they take the untouched
-    # path (a null dictionary index would otherwise cast to garbage int64)
-    codes = np.asarray(d.indices.fill_null(-1), dtype=np.int64)
+    code = np.array([groups.index(c) for c in chains] + [0], dtype=np.int64)
+    row_group = code[np.asarray(d.indices.fill_null(len(chains)),
+                                dtype=np.int64)]
     parts: list[pa.Array] = []
     order: list[np.ndarray] = []
-    null_idx = np.flatnonzero(codes == -1)
-    if len(null_idx):
-        sub = content.take(pa.array(null_idx))
-        parts.append(sub.combine_chunks()
-                     if isinstance(sub, pa.ChunkedArray) else sub)
-        order.append(null_idx)
-    for code, lang in enumerate(uniq):
-        idx = np.flatnonzero(codes == code)
+    for g, chain in enumerate(groups):
+        idx = np.flatnonzero(row_group == g)
         if len(idx) == 0:
             continue
-        sub = content.take(pa.array(idx))
-        lang = lang or ""
-        if lang in _BLOCK_COMMENT_LANGS:
-            sub = pc.replace_substring_regex(
-                sub, pattern=_BLOCK_COMMENT, replacement=" ")
-        pat = _LINE_COMMENT.get(lang)
-        if pat is not None:
+        sub = content if len(idx) == n else content.take(pa.array(idx))
+        for pat in chain:
             sub = pc.replace_substring_regex(sub, pattern=pat, replacement=" ")
-        if isinstance(sub, pa.ChunkedArray):
-            sub = sub.combine_chunks()
+        if len(idx) == n:
+            return sub
         parts.append(sub)
         order.append(idx)
-    cat = pa.concat_arrays(parts)
     inv = np.empty(n, dtype=np.int64)
     inv[np.concatenate(order)] = np.arange(n, dtype=np.int64)
-    return cat.take(pa.array(inv))
+    return pa.concat_arrays(parts).take(pa.array(inv))
 
 
 def _sha256_digests(col: pa.ChunkedArray | pa.Array) -> np.ndarray:

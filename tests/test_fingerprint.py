@@ -30,6 +30,30 @@ def test_strip_code_comments_per_lang():
     assert out[3] == "# not a comment in unknown lang"   # untouched
 
 
+def test_strip_code_comments_batch_equals_row_by_row():
+    """One mixed batch strips each row exactly as a one-row call does:
+    every lang with comment syntax (the ``#`` family, the C family with its
+    block comments, sql), an unknown lang, null langs and null content, as
+    plain and as chunked input."""
+    from spel_ray.stages.fingerprint import _COMMENT_CHAIN
+
+    bodies = ["x = 1  # hash\ny = 2", "a /* one\n two */ b // slash\nc",
+              "SELECT 1 -- dash\nFROM t", None, "",
+              "keep -- # // /* */ all"]
+    langs = [*_COMMENT_CHAIN, "weird", None, None]
+    rows = [(b, lg) for lg in langs for b in bodies]
+    content = pa.array([b for b, _ in rows], pa.string())
+    lang = pa.array([lg for _, lg in rows], pa.string())
+    want = [strip_code_comments(content.slice(i, 1), lang.slice(i, 1))
+            .to_pylist()[0] for i in range(len(rows))]
+    assert want[bodies.index("x = 1  # hash\ny = 2")] == "x = 1   \ny = 2"
+    h = len(rows) // 3
+    for c, lg in ((content, lang),
+                  (pa.chunked_array([content[:h], content[h:]]),
+                   pa.chunked_array([lang[:2 * h], lang[2 * h:]]))):
+        assert strip_code_comments(c, lg).to_pylist() == want
+
+
 def test_comment_churn_does_not_change_norm_content():
     """Two files differing only in comments must share norm_content (the
     reason the normalizer exists) while keeping distinct sha256."""

@@ -351,6 +351,39 @@ def test_index_add_is_an_upsert():
     assert [h["row_id"] for h in hits2] == row_ids
 
 
+def test_index_add_keeps_the_last_version_of_a_repeated_key():
+    """A batch that repeats a (repo, path, commit) key answers like its
+    rows added one at a time: the last version replaces the first, with
+    the delta live and after compaction."""
+    cfg = LinkageConfig()
+    base = pa.table({
+        "repo": ["b"], "path": ["y.py"], "commit": ["1" * 40],
+        "lang": ["python"], "content": ["totally different body here ok"],
+    })
+    twice = pa.table({
+        "repo": ["a", "a"], "path": ["x.py", "x.py"],
+        "commit": ["0" * 40] * 2, "lang": ["python"] * 2,
+        "content": ["import os\nrun()", "import sys\nmain()"],
+    })
+    batch = LinkageIndex.build(rd.from_arrow(base), cfg)
+    one_by_one = LinkageIndex.build(rd.from_arrow(base), cfg)
+    assert batch.add(twice, compact_ratio=10.0) == 2
+    for i in range(twice.num_rows):
+        one_by_one.add(twice.slice(i, 1), compact_ratio=10.0)
+    probes = twice["content"].to_pylist()
+    langs = ["python"] * 2
+    for idx in (batch, one_by_one):
+        assert not idx.link(probes[0], "python", k=5, min_score=0.999), \
+            "the superseded version still links"
+        assert idx.link(probes[1], "python", k=5)[0]["exact"]
+    assert batch.link_many(probes, langs) == one_by_one.link_many(probes,
+                                                                  langs)
+    batch.add(twice.slice(0, 0), compact_ratio=0.0)    # force compaction
+    assert batch._delta is None
+    assert batch.link_many(probes, langs) == one_by_one.link_many(probes,
+                                                                  langs)
+
+
 def test_link_many_rejects_a_dropped_query_row(monkeypatch):
     """A fingerprint pass that loses a query row must fail loudly (even
     under ``python -O``), not hand that query an empty hit list."""
@@ -528,6 +561,44 @@ def test_index_probe_misses_return_nothing():
                          **_plugins(cfg))
     assert empty.hits(feats, 0.0, 5).num_rows == 0
     assert empty.link_many(t["content"].to_pylist()[:3]) == [[], [], []]
+
+
+def test_probe_scores_each_candidate_once(monkeypatch):
+    """Each segment hands the scorer each ``(q, row_id)`` at most once,
+    although an indexed exact copy sits under every one of the query's
+    block keys and a near-duplicate under many."""
+    import spel_ray.serving as serving
+
+    cfg = LinkageConfig()
+    t = _synth400().slice(0, 200)
+    idx = _index_of(cfg, t)
+    idx.add(_edited(t.slice(0, 8), "a"), compact_ratio=10.0)
+    assert idx._delta is not None
+    # exact copies of main rows, near-duplicates of them, exact copies of
+    # the delta's rows
+    probes = (t["content"].to_pylist()[8:16]
+              + _edited(t.slice(8, 8), "b")["content"].to_pylist()
+              + _edited(t.slice(0, 8), "a")["content"].to_pylist())
+    langs = t["lang"].to_pylist()[8:16] * 2 + t["lang"].to_pylist()[:8]
+    calls = []
+    real = serving.score_gather
+
+    def counting(scorer, cfg, a, ia, b, ib):
+        calls.append((a["q"][ia], b["row_id"][ib]))
+        return real(scorer, cfg, a, ia, b, ib)
+
+    monkeypatch.setattr(serving, "score_gather", counting)
+    got = idx.link_many(probes, langs, k=5)
+    assert len(calls) == 2                        # main and the delta
+    for q, rid in calls:
+        pairs = set(zip(q.tolist(), rid.tolist()))
+        assert len(pairs) == len(q), "a (q, row_id) was scored twice"
+    # an exact copy is found under each of its keys: the dedup had work
+    f, _ = serving._query_features(cfg, idx._blocker, probes[:1], langs[:1],
+                                   None)
+    pos, _ = idx._live_positions(f["block_key"])
+    assert got[0][0]["exact"]
+    assert (idx._row_id[pos] == got[0][0]["row_id"]).sum() > 1
 
 
 def _register_rekeyed_blocker():
